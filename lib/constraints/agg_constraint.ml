@@ -66,19 +66,19 @@ let make ~name ~nvars ~body ~apps ~op ~bound =
 (** Enumerate the substitutions satisfying the body φ.  A variable left
     unbound by φ (allowed by Definition 1 only when it also appears in no
     aggregation) stays [None].  Duplicate substitutions arising from
-    several derivations are returned once. *)
+    several derivations are returned once, compared by {!Value.key}. *)
 let groundings db t =
-  let results = Hashtbl.create 16 in
+  let atoms = List.map (fun a -> (a, Database.tuples_of db a.rel)) t.body in
+  let seen = Hashtbl.create 16 in
   let order = ref [] in
   let rec match_atoms env = function
     | [] ->
-      let key = Array.to_list (Array.map (Option.map Value.to_string) env) in
-      if not (Hashtbl.mem results key) then begin
-        Hashtbl.add results key ();
+      let key = Array.map (Option.map Value.key) env in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
         order := Array.copy env :: !order
       end
-    | atom :: rest ->
-      let tuples = Database.tuples_of db atom.rel in
+    | (atom, tuples) :: rest ->
       List.iter
         (fun tu ->
           (* Unify the atom arguments with the tuple's values. *)
@@ -106,7 +106,7 @@ let groundings db t =
           List.iter (fun x -> env.(x) <- None) !bound)
         tuples
   in
-  match_atoms (Array.make t.nvars None) t.body;
+  match_atoms (Array.make t.nvars None) atoms;
   List.rev !order
 
 (** Actual-parameter values of an application under a substitution.
@@ -126,24 +126,40 @@ let instantiate_actuals t (theta : Value.t option array) app =
 
 let eval_op op c = match op with Le -> c <= 0 | Ge -> c >= 0 | Eq -> c = 0
 
-(** The left-hand side Σ cᵢ·χᵢ(θXᵢ) for one ground substitution. *)
-let lhs_value db t theta =
+(** The left-hand side Σ cᵢ·χᵢ(θXᵢ) for one ground substitution, each χᵢ
+    answered from its index in [idx]. *)
+let lhs idx t theta =
   List.fold_left
     (fun acc app ->
       let actuals = instantiate_actuals t theta app in
-      Rat.add acc (Rat.mul app.coeff (Aggregate.eval db app.fn actuals)))
+      Rat.add acc
+        (Rat.mul app.coeff (Aggregate.Index.sum (Aggregate.Indexes.find idx app.fn) actuals)))
     Rat.zero t.apps
 
-(** Ground instances of the constraint that D violates (empty = satisfied). *)
-let violations db t =
-  List.filter
-    (fun theta -> not (eval_op t.op (Rat.compare (lhs_value db t theta) t.bound)))
-    (groundings db t)
+let satisfied t lhs = eval_op t.op (Rat.compare lhs t.bound)
 
-let holds db t = violations db t = []
+(** Violated ground instances with their left-hand sides, in grounding
+    order. *)
+let violated idx t =
+  List.filter_map
+    (fun theta ->
+      let v = lhs idx t theta in
+      if satisfied t v then None else Some (theta, v))
+    (groundings (Aggregate.Indexes.db idx) t)
+
+(** Ground instances of the constraint that D violates (empty = satisfied). *)
+let violations db t = List.map fst (violated (Aggregate.Indexes.create db) t)
+
+(* Stops at the first violated grounding. *)
+let holds_in idx t =
+  List.for_all (fun theta -> satisfied t (lhs idx t theta)) (groundings (Aggregate.Indexes.db idx) t)
+
+let holds db t = holds_in (Aggregate.Indexes.create db) t
 
 (** [holds_all db cs] is the paper's D ⊨ AC. *)
-let holds_all db cs = List.for_all (holds db) cs
+let holds_all db cs =
+  let idx = Aggregate.Indexes.create db in
+  List.for_all (holds_in idx) cs
 
 let pp_arg fmt = function
   | Var i -> Format.fprintf fmt "x%d" i

@@ -56,16 +56,19 @@ val instantiate_actuals : t -> Value.t option array -> application -> Value.t ar
 val eval_op : op -> int -> bool
 (** [eval_op op c] interprets a comparison result [c] against the operator. *)
 
-val lhs_value : Database.t -> t -> Value.t option array -> Rat.t
-(** Σᵢ cᵢ·χᵢ(θXᵢ) for one ground substitution. *)
+val violated : Aggregate.Indexes.t -> t -> (Value.t option array * Rat.t) list
+(** The ground substitutions whose instance the indexed database violates,
+    each with its left-hand side Σᵢ cᵢ·χᵢ(θXᵢ), in grounding order. *)
 
 val violations : Database.t -> t -> Value.t option array list
 (** The ground substitutions whose instance the database violates. *)
 
 val holds : Database.t -> t -> bool
+(** No violated grounding; stops at the first violated one. *)
 
 val holds_all : Database.t -> t list -> bool
-(** The paper's D ⊨ AC. *)
+(** The paper's D ⊨ AC, with one index per aggregation function shared
+    across the constraints. *)
 
 val pp_arg : Format.formatter -> atom_arg -> unit
 val pp : Format.formatter -> t -> unit

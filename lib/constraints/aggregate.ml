@@ -25,21 +25,97 @@ let make ~name ~rel ~arity ~expr ~where =
     (Formula.params where);
   { name; rel; expr; arity; where }
 
+(* ------------------------------------------------------------------ *)
+(* Hash-partitioned evaluation                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One pass over R per (database, aggregate) files each tuple under the
+   values of its [Attr = Param i] conjuncts, so an application costs
+   O(|T_χ|) instead of a scan of R: O(|T| + |θ|·k) per constraint rather
+   than O(|θ|·k·|T|).  Keys are {!Value.key}s, so numbers equal under
+   {!Value.compare} share a bucket; buckets keep R's insertion order, so
+   T_χ is listed exactly as a scan lists it and the ground system does
+   not change. *)
+
+module Index = struct
+  type aggregate = t
+
+  type t = {
+    fn : aggregate;
+    key_params : int array;  (* formal parameter behind each key position *)
+    buckets : (Value.key array, Tuple.t list ref) Hashtbl.t;
+    residual : (Value.t option array -> Tuple.t -> bool) option;
+    value : Tuple.t -> Rat.t;  (* the summed expression e *)
+  }
+
+  let build db fn =
+    let rs = Schema.relation (Database.schema db) fn.rel in
+    let keyed = ref [] and fixed = ref [] and residual = ref [] in
+    List.iter
+      (function
+        | Formula.Cmp (Attr a, Eq, Param i) | Cmp (Param i, Eq, Attr a) ->
+          keyed := (Schema.attr_index rs a, i) :: !keyed
+        | Cmp (Attr a, Eq, Const v) | Cmp (Const v, Eq, Attr a) ->
+          fixed := (Schema.attr_index rs a, v) :: !fixed
+        | c -> residual := c :: !residual)
+      (Formula.conjuncts fn.where);
+    let keyed = Array.of_list (List.rev !keyed) and fixed = List.rev !fixed in
+    let buckets = Hashtbl.create 64 in
+    List.iter
+      (fun tu ->
+        if List.for_all (fun (pos, v) -> Value.equal (Tuple.value tu pos) v) fixed then begin
+          let key = Array.map (fun (pos, _) -> Value.key (Tuple.value tu pos)) keyed in
+          match Hashtbl.find_opt buckets key with
+          | Some ts -> ts := tu :: !ts
+          | None -> Hashtbl.add buckets key (ref [ tu ])
+        end)
+      (Database.tuples_of db fn.rel);
+    Hashtbl.iter (fun _ ts -> ts := List.rev !ts) buckets;
+    { fn;
+      key_params = Array.map snd keyed;
+      buckets;
+      residual =
+        (match List.rev !residual with
+         | [] -> None
+         | cs -> Some (Formula.compile rs (Formula.conj cs)));
+      value = Attr_expr.compile rs fn.expr }
+
+  let involved idx (actuals : Value.t array) =
+    if Array.length actuals <> idx.fn.arity then
+      invalid_arg (Printf.sprintf "Aggregate.involved_tuples %s: arity mismatch" idx.fn.name);
+    match Hashtbl.find_opt idx.buckets (Array.map (fun i -> Value.key actuals.(i)) idx.key_params) with
+    | None -> []
+    | Some ts ->
+      (match idx.residual with
+       | None -> !ts
+       | Some keep -> List.filter (keep (Array.map Option.some actuals)) !ts)
+
+  let sum idx actuals =
+    List.fold_left (fun acc tu -> Rat.add acc (idx.value tu)) Rat.zero (involved idx actuals)
+end
+
+module Indexes = struct
+  type aggregate = t
+  type t = { db : Database.t; mutable built : (aggregate * Index.t) list }
+
+  let create db = { db; built = [] }
+  let db c = c.db
+
+  let find c fn =
+    match List.assq_opt fn c.built with
+    | Some idx -> idx
+    | None ->
+      let idx = Index.build c.db fn in
+      c.built <- (fn, idx) :: c.built;
+      idx
+end
+
 (** Tuples of [db] involved in the application (the paper's T_χ) under the
     given actual-parameter values. *)
-let involved_tuples db t (actuals : Value.t array) =
-  if Array.length actuals <> t.arity then
-    invalid_arg (Printf.sprintf "Aggregate.involved_tuples %s: arity mismatch" t.name);
-  let env = Array.map (fun v -> Some v) actuals in
-  let rs = Schema.relation (Database.schema db) t.rel in
-  List.filter (fun tu -> Formula.eval rs env tu t.where) (Database.tuples_of db t.rel)
+let involved_tuples db t actuals = Index.involved (Index.build db t) actuals
 
 (** Evaluate the aggregation-sum on the current database state. *)
-let eval db t actuals =
-  let rs = Schema.relation (Database.schema db) t.rel in
-  List.fold_left
-    (fun acc tu -> Rat.add acc (Attr_expr.eval rs tu t.expr))
-    Rat.zero (involved_tuples db t actuals)
+let eval db t actuals = Index.sum (Index.build db t) actuals
 
 (** The attribute set W(χ) of the steadiness test: attributes named in the
     WHERE clause (they all belong to [t.rel]).  The contribution of

@@ -44,43 +44,57 @@ let string_of_theta theta =
          (Array.map (function Some v -> Value.to_string v | None -> "_") theta))
   ^ "]"
 
-(** Ground one constraint.  @raise Steady.Not_steady if it is not steady
-    (the translation is only sound for steady constraints — see §5). *)
 let trivially_true r =
   r.terms = []
   && (let c = Rat.compare Rat.zero r.rhs in
       match r.op with Agg_constraint.Le -> c <= 0 | Ge -> c >= 0 | Eq -> c = 0)
 
-let of_constraint db (k : Agg_constraint.t) : row list =
-  let schema = Database.schema db in
+(* The rows of one constraint, each χᵢ answered from its index in [idx]. *)
+let rows idx (k : Agg_constraint.t) : row list =
+  let schema = Database.schema (Aggregate.Indexes.db idx) in
   Steady.ensure schema k;
+  (* Per application: its measure terms scaled by cᵢ, and the evaluator of
+     the constant part of the summed expression. *)
+  let apps =
+    List.map
+      (fun (app : Agg_constraint.application) ->
+        let rel = app.fn.Aggregate.rel in
+        let lin, const =
+          Attr_expr.linearizer (Schema.relation schema rel)
+            ~is_measure:(fun a -> Schema.is_measure schema ~rel ~attr:a)
+            app.fn.Aggregate.expr
+        in
+        (app, List.map (fun (coef, attr) -> (Rat.mul app.coeff coef, attr)) lin, const))
+      k.apps
+  in
   List.filter (fun r -> not (trivially_true r))
   @@ List.map
     (fun theta ->
       let terms = ref [] and const = ref Rat.zero in
       List.iter
-        (fun (app : Agg_constraint.application) ->
+        (fun ((app : Agg_constraint.application), lin, c) ->
           let actuals = Agg_constraint.instantiate_actuals k theta app in
-          let rs = Schema.relation schema app.fn.Aggregate.rel in
-          let is_measure a = Schema.is_measure schema ~rel:app.fn.Aggregate.rel ~attr:a in
           List.iter
             (fun tu ->
-              let lin, c = Attr_expr.linearize rs ~is_measure tu app.fn.Aggregate.expr in
-              const := Rat.add !const (Rat.mul app.coeff c);
-              List.iter
-                (fun (coef, attr) ->
-                  terms := (Rat.mul app.coeff coef, (Tuple.id tu, attr)) :: !terms)
-                lin)
-            (Aggregate.involved_tuples db app.fn actuals))
-        k.apps;
+              const := Rat.add !const (Rat.mul app.coeff (c tu));
+              List.iter (fun (coef, attr) -> terms := (coef, (Tuple.id tu, attr)) :: !terms) lin)
+            (Aggregate.Index.involved (Aggregate.Indexes.find idx app.fn) actuals))
+        apps;
       { origin = k.name ^ " " ^ string_of_theta theta;
         terms = combine_terms (List.rev !terms);
         op = k.op;
         rhs = Rat.sub k.bound !const })
-    (Agg_constraint.groundings db k)
+    (Agg_constraint.groundings (Aggregate.Indexes.db idx) k)
 
-(** Ground a whole constraint set: the full system S(AC). *)
-let of_constraints db ks = List.concat_map (of_constraint db) ks
+(** Ground one constraint.  @raise Steady.Not_steady if it is not steady
+    (the translation is only sound for steady constraints — see §5). *)
+let of_constraint db k = rows (Aggregate.Indexes.create db) k
+
+(** Ground a whole constraint set: the full system S(AC), with one index
+    per aggregation function shared across the constraints. *)
+let of_constraints db ks =
+  let idx = Aggregate.Indexes.create db in
+  List.concat_map (rows idx) ks
 
 (** Cells mentioned by a system, in first-appearance order: the repairable
     variables z₁…z_N of §5. *)

@@ -16,18 +16,14 @@ type entry = {
   bound : Rat.t;
 }
 
-let entry_of db (k : Agg_constraint.t) theta =
-  { constraint_name = k.Agg_constraint.name;
-    theta;
-    lhs = Agg_constraint.lhs_value db k theta;
-    op = k.Agg_constraint.op;
-    bound = k.Agg_constraint.bound }
+let entry (k : Agg_constraint.t) (theta, lhs) =
+  { constraint_name = k.name; theta; lhs; op = k.op; bound = k.bound }
 
-(** All violated ground instances of a constraint set. *)
+(** All violated ground instances of a constraint set, each left-hand side
+    taken from the detection pass that found it. *)
 let of_constraints db ks : entry list =
-  List.concat_map
-    (fun k -> List.map (entry_of db k) (Agg_constraint.violations db k))
-    ks
+  let idx = Aggregate.Indexes.create db in
+  List.concat_map (fun k -> List.map (entry k) (Agg_constraint.violated idx k)) ks
 
 let op_string = function
   | Agg_constraint.Le -> "<="

@@ -11,8 +11,6 @@ type entry = {
   bound : Rat.t;
 }
 
-val entry_of : Database.t -> Agg_constraint.t -> Value.t option array -> entry
-
 val of_constraints : Database.t -> Agg_constraint.t list -> entry list
 (** All violated ground instances; empty = consistent. *)
 

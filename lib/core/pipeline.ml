@@ -51,18 +51,19 @@ let detect scenario db =
   Obs.span "pipeline.detect"
     ~attrs:[ ("constraints", Obs.Int (List.length scenario.Scenario.constraints)) ]
     (fun () ->
+      let idx = Aggregate.Indexes.create db in
       let violated =
         List.filter_map
           (fun k ->
-            match Agg_constraint.violations db k with
+            match Agg_constraint.violated idx k with
             | [] -> None
-            | thetas -> Some (k, thetas))
+            | v -> Some (k, List.map fst v))
           scenario.Scenario.constraints
       in
       Obs.add_attr "violated" (Obs.Int (List.length violated));
       violated)
 
-let consistent scenario db = detect scenario db = []
+let consistent scenario db = Agg_constraint.holds_all db scenario.Scenario.constraints
 
 (** One-shot repair (no operator): the card-minimal repair of D.
     [mapper] schedules the per-component solves (e.g. over a domain

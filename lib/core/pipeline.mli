@@ -27,6 +27,7 @@ val detect :
 (** Violated constraints with the witnessing ground substitutions. *)
 
 val consistent : Scenario.t -> Database.t -> bool
+(** D ⊨ AC; stops at the first violated grounding. *)
 
 val repair :
   ?max_nodes:int -> ?mapper:Solver.mapper -> ?cancel:Dart_resilience.Cancel.t ->

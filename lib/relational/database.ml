@@ -92,17 +92,16 @@ let update_value t tid attr v =
 
 (** Select tuples of a relation satisfying a closed formula (no parameters). *)
 let select t rel_name formula =
-  let rs = Schema.relation t.schema rel_name in
-  let env = [||] in
-  List.filter (fun tu -> Formula.eval rs env tu formula) (tuples_of t rel_name)
+  let keep = Formula.compile (Schema.relation t.schema rel_name) formula [||] in
+  List.filter keep (tuples_of t rel_name)
 
 (** SELECT sum(expr) FROM rel WHERE formula, with expr given as a per-tuple
     rational valuation — the building block for aggregation functions. *)
 let sum_where t rel_name ~env formula value_of_tuple =
-  let rs = Schema.relation t.schema rel_name in
+  let keep = Formula.compile (Schema.relation t.schema rel_name) formula env in
   List.fold_left
     (fun acc tu ->
-      if Formula.eval rs env tu formula then Dart_numeric.Rat.add acc (value_of_tuple tu)
+      if keep tu then Dart_numeric.Rat.add acc (value_of_tuple tu)
       else acc)
     Dart_numeric.Rat.zero (tuples_of t rel_name)
 

@@ -34,24 +34,51 @@ let eval_cmp op c =
   | Gt -> c > 0
   | Ge -> c >= 0
 
-(** Evaluate against a tuple of [schema] under a parameter environment.
-    @raise Invalid_argument if a parameter is not bound.
-    @raise Not_found if an attribute does not exist in the schema. *)
-let rec eval schema (env : Value.t option array) tuple = function
-  | True -> true
-  | Cmp (a, op, b) ->
-    let term_value = function
-      | Attr name -> Tuple.value_by_name schema tuple name
-      | Const v -> v
-      | Param i ->
+(** [compile schema f] resolves attribute names to positions once and
+    returns the evaluator of [f] on tuples of [schema] under a parameter
+    environment.
+    @raise Not_found if an attribute does not exist in the schema; the
+    evaluator raises [Invalid_argument] if a parameter is not bound. *)
+let compile schema f =
+  let term = function
+    | Attr name ->
+      let i = Schema.attr_index schema name in
+      fun _ tuple -> Tuple.value tuple i
+    | Const v -> fun _ _ -> v
+    | Param i ->
+      fun (env : Value.t option array) _ ->
         (match env.(i) with
          | Some v -> v
          | None -> invalid_arg (Printf.sprintf "Formula.eval: unbound parameter x%d" i))
-    in
-    eval_cmp op (Value.compare (term_value a) (term_value b))
-  | And (f, g) -> eval schema env tuple f && eval schema env tuple g
-  | Or (f, g) -> eval schema env tuple f || eval schema env tuple g
-  | Not f -> not (eval schema env tuple f)
+  in
+  let rec go = function
+    | True -> fun _ _ -> true
+    | Cmp (a, op, b) ->
+      let a = term a and b = term b in
+      fun env tuple -> eval_cmp op (Value.compare (a env tuple) (b env tuple))
+    | And (f, g) ->
+      let f = go f and g = go g in
+      fun env tuple -> f env tuple && g env tuple
+    | Or (f, g) ->
+      let f = go f and g = go g in
+      fun env tuple -> f env tuple || g env tuple
+    | Not f ->
+      let f = go f in
+      fun env tuple -> not (f env tuple)
+  in
+  go f
+
+(** Evaluate against a tuple of [schema] under a parameter environment.
+    @raise Invalid_argument if a parameter is not bound.
+    @raise Not_found if an attribute does not exist in the schema. *)
+let eval schema env tuple f = compile schema f env tuple
+
+(** The conjuncts of a formula: nested [And]s flattened left to right,
+    [True] dropped. *)
+let rec conjuncts = function
+  | True -> []
+  | And (f, g) -> conjuncts f @ conjuncts g
+  | f -> [ f ]
 
 (** Attribute names mentioned anywhere in the formula (part of the paper's
     W(χ) used by the steadiness test). *)

@@ -33,6 +33,17 @@ val eval : Schema.relation_schema -> Value.t option array -> Tuple.t -> t -> boo
     @raise Invalid_argument if a referenced parameter is unbound.
     @raise Not_found if an attribute does not exist in the schema. *)
 
+val compile :
+  Schema.relation_schema -> t -> (Value.t option array -> Tuple.t -> bool)
+(** [compile schema f] resolves attribute names to positions once; the
+    result is {!eval} on tuples of [schema], without the per-tuple name
+    lookups.
+    @raise Not_found if an attribute does not exist in the schema. *)
+
+val conjuncts : t -> t list
+(** The conjuncts of a formula: nested [And]s flattened left to right,
+    [True] dropped. *)
+
 val attrs : t -> string list
 (** Attribute names mentioned (with duplicates); feeds the W(χ) of the
     steadiness test. *)

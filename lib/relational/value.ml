@@ -58,6 +58,18 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+type key = KInt of int | KNum of string | KStr of string
+
+(* A real with an integral value that fits an int shares the [Int] key;
+   any other rational is keyed by its normalised text. *)
+let key = function
+  | Int n -> KInt n
+  | Real r ->
+    (match if Rat.is_integer r then Bigint.to_int_opt (Rat.num r) else None with
+     | Some n -> KInt n
+     | None -> KNum (Rat.to_string r))
+  | String s -> KStr s
+
 let to_string = function
   | Int n -> string_of_int n
   | Real r -> Rat.to_string r

@@ -34,6 +34,14 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+type key
+(** A hashable normal form of a value, built from ints and strings only. *)
+
+val key : t -> key
+(** [key a = key b] exactly when [equal a b]: an [Int] and a [Real] holding
+    the same number share a key.  Keys work with polymorphic [=] and
+    [Hashtbl]. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -11,6 +11,7 @@ let () =
       ("sparse", Test_sparse.suite);
       ("relational", Test_relational.suite);
       ("constraints", Test_constraints.suite);
+      ("agg_index", Test_agg_index.suite);
       ("repair", Test_repair.suite);
       ("html", Test_html.suite);
       ("textdict", Test_textdict.suite);
