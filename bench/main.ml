@@ -28,7 +28,6 @@ let experiments =
     ("serve2", Exp_serve2.run);
     ("fault", Exp_fault.run);
     ("overload", Exp_overload.run);
-    ("warm", Exp_warm.run);
     ("simplex", Exp_simplex.run);
     ("slo", Exp_slo.run);
     ("score", Exp_score.run);
@@ -53,7 +52,7 @@ let () =
       | [] ->
         (* micro and score are opt-in *)
         [ "e1"; "e3"; "e4"; "e5"; "e6"; "e8"; "e9"; "e10"; "obs"; "serve";
-          "serve2"; "warm"; "slo" ]
+          "serve2"; "slo" ]
       | rs -> rs
     in
     let failures = ref [] in

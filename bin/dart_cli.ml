@@ -390,24 +390,13 @@ let run_cmd =
       value & flag
       & info [ "auto" ] ~doc:"Accept every suggested update without prompting.")
   in
-  let no_warm =
-    Arg.(
-      value & flag
-      & info [ "no-warm" ]
-          ~doc:
-            "Re-encode and solve every validation iteration from scratch \
-             instead of warm-starting from the previous bases (same result, \
-             more pivots).")
-  in
-  let run _finalize kind path auto no_warm =
+  let run _finalize kind path auto =
     let scenario, acq = acquire_from kind path in
     let operator : Validation.operator =
       if auto then fun ~cell:_ ~tuple:_ ~suggested:_ -> Validation.Accept
       else interactive_operator ~db:acq.Pipeline.db
     in
-    let outcome =
-      Pipeline.validate scenario ~warm:(not no_warm) ~operator acq.Pipeline.db
-    in
+    let outcome = Pipeline.validate scenario ~operator acq.Pipeline.db in
     Printf.printf "\nconverged=%b iterations=%d updates-examined=%d\n"
       outcome.Validation.converged outcome.Validation.iterations outcome.Validation.examined;
     Printf.printf "solver effort: %d milp nodes, %d simplex pivots (%d simplex solves)\n"
@@ -423,7 +412,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Full supervised pipeline: acquire, repair, validate interactively, print CSV.")
-    Term.(const run $ obs_term $ scenario_arg $ input_arg $ auto $ no_warm)
+    Term.(const run $ obs_term $ scenario_arg $ input_arg $ auto)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)

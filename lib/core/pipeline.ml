@@ -72,12 +72,11 @@ let repair ?max_nodes ?mapper ?cancel scenario db =
   Obs.span "pipeline.repair" (fun () ->
       Solver.card_minimal ?max_nodes ?mapper ?cancel db scenario.Scenario.constraints)
 
-(** Supervised repairing: the full §6.3 validation loop.  [warm] (default
-    on) makes each iteration's re-solve incremental — see
-    {!Validation.run}. *)
-let validate scenario ?batch ?max_iterations ?warm ?cancel ~operator db =
+(** Supervised repairing: the full §6.3 validation loop (see
+    {!Validation.run}). *)
+let validate scenario ?batch ?max_iterations ?cancel ~operator db =
   Obs.span "pipeline.validate" (fun () ->
-      Validation.run ?batch ?max_iterations ?warm ?cancel ~operator db
+      Validation.run ?batch ?max_iterations ?cancel ~operator db
         scenario.Scenario.constraints)
 
 type outcome = {

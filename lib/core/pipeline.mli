@@ -38,11 +38,10 @@ val repair :
     degradation (see {!Solver.provenance}). *)
 
 val validate :
-  Scenario.t -> ?batch:int -> ?max_iterations:int -> ?warm:bool ->
+  Scenario.t -> ?batch:int -> ?max_iterations:int ->
   ?cancel:Dart_resilience.Cancel.t ->
   operator:Validation.operator -> Database.t -> Validation.outcome
-(** The §6.3 supervised loop.  [warm] (default on) re-solves iterations
-    incrementally from the previous bases (see {!Validation.run}). *)
+(** The §6.3 supervised loop (see {!Validation.run}). *)
 
 type outcome = {
   acquisition : acquisition;

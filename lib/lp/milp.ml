@@ -53,11 +53,6 @@ module Make (F : Field.S) = struct
     dual_pivots : int;     (** of which dual pivots in warm restarts *)
     warm_starts : int;     (** nodes whose relaxation reused the parent basis *)
     warm_fallbacks : int;  (** nodes that fell back to a cold solve *)
-    root_snapshot : S.snapshot option;
-        (** basis of the root relaxation, for warm-starting a future solve
-            of this problem extended by appended rows (e.g. the validation
-            loop's next operator pin).  [None] when the root relaxation was
-            not optimal or [warm] was off. *)
     cancelled : bool;      (** the search was aborted by a cancellation token;
                                [status]/[assignment] reflect the best incumbent
                                found before the abort *)
@@ -91,7 +86,7 @@ module Make (F : Field.S) = struct
   let min_compare a b = if F.compare a b <= 0 then a else b
 
   let solve ?(max_nodes = 1_000_000) ?(integral_objective = false)
-      ?(cancel = Cancel.none) ?(warm = true) ?warm_from ?core (p : P.t)
+      ?(cancel = Cancel.none) ?(warm = true) ?core (p : P.t)
       : outcome =
     Obs.span "milp.solve"
       ~attrs:[ ("vars", Obs.Int (P.num_vars p)) ]
@@ -102,7 +97,6 @@ module Make (F : Field.S) = struct
     let dual_pivots = ref 0 in
     let warm_starts = ref 0 in
     let warm_fallbacks = ref 0 in
-    let root_snapshot = ref None in
     (* Convergence instrumentation: per-phase wall-clock merged up from
        every relaxation, a bounded node log, and the gap-over-time series.
        All of it is owned data (no sink required), so a caller asking for a
@@ -142,7 +136,7 @@ module Make (F : Field.S) = struct
     (* One mutable working problem for the whole tree: an O(1) copy, so the
        caller's problem is never disturbed. *)
     let q = P.copy p in
-    let relax ~from ~depth =
+    let relax ~from =
       if warm then begin
         let w = S.solve_warm ~cancel ?from ?core q in
         pivots := !pivots + w.S.stats.S.pivots;
@@ -150,7 +144,6 @@ module Make (F : Field.S) = struct
         Obs.Phases.merge_into ~dst:phases w.S.stats.S.phases;
         if w.S.warm_used then incr warm_starts;
         if w.S.fell_back then incr warm_fallbacks;
-        if depth = 0 then root_snapshot := w.S.snapshot;
         (w.S.result, w.S.snapshot)
       end
       else begin
@@ -206,7 +199,7 @@ module Make (F : Field.S) = struct
         Obs.Metrics.incr m_nodes;
         if Obs.enabled () then
           Obs.log Debug "milp.node" ~attrs:[ ("depth", Obs.Int depth) ];
-        match relax ~from ~depth with
+        match relax ~from with
         | S.Infeasible, _ ->
           Obs.Metrics.incr m_prune_infeasible;
           if depth = 0 then root_infeasible := true
@@ -280,7 +273,7 @@ module Make (F : Field.S) = struct
       end
     in
     let cancelled = ref false in
-    (try explore ~from:(if warm then warm_from else None) 0
+    (try explore ~from:None 0
      with Cancel.Cancelled -> cancelled := true);
     Obs.add_attr "nodes" (Obs.Int !nodes);
     Obs.add_attr "pivots" (Obs.Int !pivots);
@@ -303,7 +296,7 @@ module Make (F : Field.S) = struct
       { status; objective; assignment; nodes_explored = !nodes;
         simplex_pivots = !pivots; dual_pivots = !dual_pivots;
         warm_starts = !warm_starts; warm_fallbacks = !warm_fallbacks;
-        root_snapshot = !root_snapshot; cancelled = !cancelled;
+        cancelled = !cancelled;
         phases; node_log = List.rev !nl_buf;
         gap_timeline = Obs.Timeline.points gap_tl;
         root_bound = !root_bound; final_gap }

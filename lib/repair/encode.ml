@@ -32,7 +32,6 @@ module P = Lp_problem.Make (Field_rat)
 type t = {
   problem : P.t;
   cells : Ground.cell array;
-  cell_index : (Ground.cell, int) Hashtbl.t;
   z : P.var array;
   y : P.var array;
   delta : P.var array;
@@ -145,25 +144,7 @@ let build ?(cancel = Dart_resilience.Cancel.none) ?big_m ?(forced = []) db
     forced;
   P.set_objective ~minimize:true p
     (Array.to_list (Array.map (fun d -> (Rat.one, d)) delta));
-  { problem = p; cells; cell_index = idx; z; y; delta; big_m; originals }
-
-(** Append an operator pin [z = v] to an existing instance — the delta API
-    of the incremental validation loop.  The pin is emitted as a [<=]/[>=]
-    row {e pair} rather than one equality row: appended inequality rows
-    each carry a slack that can enter the basis, which is what lets
-    {!Dart_lp.Simplex} warm-start the re-solve from the previous optimal
-    basis (equality rows would force a cold phase 1).  Returns [false]
-    when the cell is not part of the system (nothing to pin, matching
-    [build]'s treatment of unknown forced cells). *)
-let add_pin (t : t) ((cell, value) : Ground.cell * Rat.t) : bool =
-  match Hashtbl.find_opt t.cell_index cell with
-  | None -> false
-  | Some i ->
-    P.add_constraint ~label:"operator" t.problem [ (Rat.one, t.z.(i)) ]
-      Lp_problem.Le value;
-    P.add_constraint ~label:"operator" t.problem [ (Rat.one, t.z.(i)) ]
-      Lp_problem.Ge value;
-    true
+  { problem = p; cells; z; y; delta; big_m; originals }
 
 (** Read a repair off a MILP assignment: one atomic update per cell whose z
     differs from the original value. *)

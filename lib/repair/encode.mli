@@ -18,8 +18,6 @@ module P : module type of Lp_problem.Make (Field_rat)
 type t = {
   problem : P.t;
   cells : Ground.cell array;   (** z-variable order *)
-  cell_index : (Ground.cell, int) Hashtbl.t;
-      (** cell → index into [cells]/[z]/[y]/[delta]; O(1) pin lookup *)
   z : P.var array;
   y : P.var array;
   delta : P.var array;
@@ -44,13 +42,6 @@ val build : ?cancel:Dart_resilience.Cancel.t -> ?big_m:Rat.t ->
     instructions, §6.3), each becoming an equality row.  [cancel] is
     polled while emitting rows.
     @raise Dart_resilience.Cancel.Cancelled if the token fires. *)
-
-val add_pin : t -> Ground.cell * Rat.t -> bool
-(** Append an operator pin [z = v] to an existing instance as a [<=]/[>=]
-    row pair (each row carries a slack, so {!Dart_lp.Simplex} can
-    warm-start the re-solve from the previous basis; a single equality row
-    would force a cold phase 1).  [false] when the cell is not part of the
-    system. *)
 
 val decode : Database.t -> t -> Rat.t array -> Repair.t
 (** Read a repair off a solution: one atomic update per cell whose z value

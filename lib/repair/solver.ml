@@ -11,11 +11,9 @@
     the component is re-solved with a larger M (doubling the exponent) so
     the practical bound never silently compromises optimality.
 
-    {!card_minimal} is the one-shot entry point.  {!Warm} is the
-    incremental variant for the validation loop: it keeps each component's
-    MILP encoding and root basis across calls, so adding an operator pin
-    appends two rows and re-solves warm instead of re-encoding and
-    re-solving the whole system from scratch. *)
+    {!card_minimal} is the one entry point, for one-shot repairs and for
+    the validation loop's re-solves under operator pins alike; answers are
+    reused across calls only through the process-wide {!Cache}. *)
 
 open Dart_numeric
 open Dart_constraints
@@ -80,10 +78,9 @@ let m_components = Obs.Metrics.counter "repair.components_solved"
 let m_degraded = Obs.Metrics.counter "repair.degraded"
 let m_cancelled = Obs.Metrics.counter "repair.cancelled"
 
-(* Repair-layer warm-state invalidations: a {!Warm} solve that had to
-   throw away incremental state (shrinking/changed pin set, or a big-M
-   retry rewriting the instance's coefficients).  LP-layer fallbacks
-   (dual-phase stalls) are counted separately in [stats.warm_fallbacks]. *)
+(* Branch & bound warm restarts that fell back to a cold solve, summed over
+   the components a solve reports: the counter's delta across a call
+   equals that call's [stats.warm_fallbacks]. *)
 let m_warm_fallbacks = Obs.Metrics.counter "repair.warm_fallbacks"
 
 (** How a repair was obtained — the anytime degradation ladder.  [Exact]
@@ -281,8 +278,8 @@ module Cache = struct
       Only deterministic outcomes are cached — proved optima, incumbents
       of budget-truncated (not deadline-cancelled) searches, and
       infeasibility — so a hit is byte-identical to re-solving (pinned by
-      the PR 5 determinism suite).  Disabled by default ([budget = 0]);
-      the server enables it via [--solve-cache-mb]. *)
+      the determinism suite).  Disabled by default ([budget = 0]); the
+      server enables it via [--solve-cache-mb]. *)
 
   module R = Dart_relational
 
@@ -509,26 +506,24 @@ end
 
 let grow_m m = Rat.mul (Rat.of_int 64) m
 
-(** The big-M retry loop, shared by the one-shot and the incremental
-    paths.  [initial] is the first instance to try, with an optional MILP
-    warm-start snapshot; on a retry [rebuild] must produce a fresh
-    instance under the given (larger) bound.  [note] observes every
-    instance actually solved together with its outcome — the {!Warm} path
-    uses it to persist the latest encoding and root basis. *)
-let solve_attempts ~max_nodes ~cancel ~warm ~db ~rebuild ~note
-    ((enc0 : Encode.t), snap0) : comp_solved =
-  let rec attempt (enc : Encode.t) snap retries acc =
+(** Solve one component from scratch, retrying with a larger M when the
+    solution makes big-M look binding, or when the instance is infeasible
+    only because M clipped it. *)
+let solve_component ~max_nodes ~cancel ~forced db rows : comp_solved =
+  Obs.Metrics.incr m_components;
+  let rec attempt (enc : Encode.t) retries acc =
     if retries > 0 then Obs.Metrics.incr m_big_m_retries;
     let outcome =
-      M.solve ~max_nodes ~integral_objective:true ~cancel ~warm ?warm_from:snap
-        enc.Encode.problem
+      M.solve ~max_nodes ~integral_objective:true ~cancel enc.Encode.problem
     in
-    note enc outcome;
+    Obs.add_attr "milp_vars" (Obs.Int (Encode.num_vars enc));
+    Obs.add_attr "milp_rows" (Obs.Int (Encode.num_rows enc));
     let acc = add_work acc (work_of outcome) in
     (* Once the token fired there is no budget for second-guessing M. *)
     let may_retry = retries < max_big_m_retries && not (Cancel.is_cancelled cancel) in
     let retry () =
-      attempt (rebuild ~big_m:(grow_m enc.Encode.big_m)) None (retries + 1) acc
+      let big_m = grow_m enc.Encode.big_m in
+      attempt (Encode.build ~cancel ~big_m ~forced db rows) (retries + 1) acc
     in
     match outcome.M.status, outcome.M.assignment with
     | M.Optimal, Some assignment ->
@@ -551,21 +546,7 @@ let solve_attempts ~max_nodes ~cancel ~warm ~db ~rebuild ~note
          the objective is a sum of binaries. *)
       Error (`Budget (enc, acc, retries))
   in
-  attempt enc0 snap0 0 no_work
-
-(** Solve one component from scratch, retrying with a larger M when the
-    solution makes big-M look binding, or when the instance is infeasible
-    only because M clipped it. *)
-let solve_component ?(max_nodes = 2_000_000) ?(cancel = Cancel.none)
-    ?(warm = true) ~forced db rows : comp_solved =
-  Obs.Metrics.incr m_components;
-  let rebuild ~big_m = Encode.build ~cancel ~big_m ~forced db rows in
-  let note enc _outcome =
-    Obs.add_attr "milp_vars" (Obs.Int (Encode.num_vars enc));
-    Obs.add_attr "milp_rows" (Obs.Int (Encode.num_rows enc))
-  in
-  solve_attempts ~max_nodes ~cancel ~warm ~db ~rebuild ~note
-    (Encode.build ~cancel ~forced db rows, None)
+  attempt (Encode.build ~cancel ~forced db rows) 0 no_work
 
 (* The degradation ladder's last rung: when exact search could not finish
    (budget or deadline) and no incumbent exists, fall back to the greedy
@@ -587,10 +568,9 @@ let degrade ~forced ~db ~constraints why stats_v =
     | None -> hard_failure ()
 
 (* Fold the per-component outcomes in component order: accumulate stats,
-   concatenate repairs, and let the first failure decide.  Shared by
-   {!card_minimal} and {!Warm.solve}, so both paths degrade identically.
-   [comp_meta] carries each component's (ground rows, cells) in the same
-   order as [outcomes], feeding the per-component report. *)
+   concatenate repairs, and let the first failure decide.  [comp_meta]
+   carries each component's (ground rows, cells) in the same order as
+   [outcomes], feeding the per-component report. *)
 let combine_outcomes ~t0 ~forced ~db ~constraints ~ncomps ~rows ~comp_meta
     (outcomes : comp_outcome list) : result =
   let stats = ref { empty_stats with
@@ -610,6 +590,7 @@ let combine_outcomes ~t0 ~forced ~db ~constraints ~ncomps ~rows ~comp_meta
       :: !reports
   in
   let add_sizes (vars, mrows) wk retries =
+    Obs.Metrics.add m_warm_fallbacks wk.wk_fallbacks;
     stats := { !stats with
                milp_vars = !stats.milp_vars + vars;
                milp_rows = !stats.milp_rows + mrows;
@@ -641,8 +622,7 @@ let combine_outcomes ~t0 ~forced ~db ~constraints ~ncomps ~rows ~comp_meta
       combine acc degraded metas (index + 1) rest
     | `Cached hit :: rest ->
       (* A process-wide cache hit: the answer is byte-identical to
-         re-solving, with zero work — the same contract as {!Warm}'s
-         per-session memo. *)
+         re-solving, with zero work. *)
       let meta, metas = meta_of metas in
       let sizes = (hit.ch_vars, hit.ch_milp_rows) in
       add_sizes sizes no_work hit.ch_retries;
@@ -695,8 +675,6 @@ let combine_outcomes ~t0 ~forced ~db ~constraints ~ncomps ~rows ~comp_meta
 
     [forced] pins cells to exact values (operator instructions).
     [decompose:false] disables the connected-component split (ablation).
-    [warm:false] disables warm starts inside branch & bound (ablation;
-    the answer is identical either way).
     [mapper] runs the per-component solves (parallel when pool-backed).
     [cancel] aborts the solve cooperatively; on cancellation or budget
     exhaustion the result degrades (incumbent, then greedy) instead of
@@ -706,7 +684,7 @@ let combine_outcomes ~t0 ~forced ~db ~constraints ~ncomps ~rows ~comp_meta
     by the first failing component in component order, so the outcome is
     independent of the mapper. *)
 let card_minimal ?(decompose = true) ?(max_nodes = 2_000_000) ?(forced = [])
-    ?(warm = true) ?(mapper = sequential) ?(cancel = Cancel.none) db
+    ?(mapper = sequential) ?(cancel = Cancel.none) db
     (constraints : Agg_constraint.t list) : result =
   let t0 = Obs.now_ms () in
   Obs.span "repair.card_minimal" (fun () ->
@@ -732,8 +710,8 @@ let card_minimal ?(decompose = true) ?(max_nodes = 2_000_000) ?(forced = [])
                    ("cells", Obs.Int (List.length (Ground.cells comp))) ]
                (fun () ->
                  let r =
-                   solve_component ~max_nodes ~cancel ~warm ~forced:comp_forced
-                     db comp
+                   solve_component ~max_nodes ~cancel ~forced:comp_forced db
+                     comp
                  in
                  (match consulted with
                   | `Miss ctx -> Cache.remember ctx r
@@ -763,190 +741,6 @@ let card_minimal ?(decompose = true) ?(max_nodes = 2_000_000) ?(forced = [])
        pooled component job): same ladder, with whatever time was spent. *)
     degrade ~forced ~db ~constraints `Cancelled
       { empty_stats with solve_ms = Obs.elapsed_ms ~since:t0 })
-
-(* ------------------------------------------------------------------ *)
-(* Incremental solving (the validation loop's warm path)               *)
-(* ------------------------------------------------------------------ *)
-
-module Warm = struct
-  (** Incremental card-minimal solving for a fixed [(db, constraints)]
-      pair under a growing pin set — the shape of the §6.3 validation
-      loop and of the server's [session/*] requests.
-
-      Each connected component keeps its MILP encoding, its accumulated
-      pins and the root basis of its last solve.  A re-solve under a pin
-      superset appends two rows per new pin ({!Encode.add_pin}) and
-      warm-starts branch & bound from the saved basis; components whose
-      pin set did not change return their cached outcome without solving
-      at all.  A pin set that is not a superset of the previous one
-      resets every component (counted in the [repair.warm_fallbacks]
-      metric), as does a big-M retry (which rewrites the instance's
-      coefficients).  Results are always the same as {!card_minimal}'s
-      on the same instance-plus-pins problem. *)
-
-  type comp = {
-    crows : Ground.row list;
-    mutable enc : Encode.t option;   (* incremental instance, pins appended *)
-    mutable pins : (Ground.cell * Rat.t) list; (* pins baked into [enc] *)
-    mutable snap : M.S.snapshot option; (* root basis of the last solve *)
-    mutable last : comp_solved option;  (* cached while pins unchanged *)
-  }
-
-  type t = {
-    db : Dart_relational.Database.t;
-    constraints : Agg_constraint.t list;
-    rows : Ground.row list;
-    comps : comp list;
-    max_nodes : int;
-    mutable applied : (Ground.cell * Rat.t) list; (* pins of the last solve *)
-  }
-
-  let create ?(max_nodes = 2_000_000) ?rows db constraints =
-    let rows =
-      match rows with Some r -> r | None -> Ground.of_constraints db constraints
-    in
-    let comps =
-      List.map
-        (fun c -> { crows = c; enc = None; pins = []; snap = None; last = None })
-        (components rows)
-    in
-    { db; constraints; rows; comps; max_nodes; applied = [] }
-
-  let reset_comp c =
-    c.enc <- None;
-    c.pins <- [];
-    c.snap <- None;
-    c.last <- None
-
-  (* Re-emit a cached outcome with its work zeroed: the stats of a solve
-     call report the work done by THAT call, and a cache hit did none. *)
-  let cached_again : comp_solved -> comp_solved = function
-    | Ok (r, p, e, _, retries, c) -> Ok (r, p, e, no_work, retries, c)
-    | Error (`Infeasible (e, _, r)) -> Error (`Infeasible (e, no_work, r))
-    | Error (`Budget (e, _, r)) -> Error (`Budget (e, no_work, r))
-    | Error (`Cancelled (e, _, r)) -> Error (`Cancelled (e, no_work, r))
-
-  let solve_comp ~cancel w (ci, comp) : comp_outcome =
-    let comp_forced = restrict_forced w.applied comp.crows in
-    if rows_satisfied w.db comp.crows comp_forced then `Satisfied
-    else begin
-      let new_pins =
-        List.filter (fun p -> not (List.mem p comp.pins)) comp_forced
-      in
-      match comp.last with
-      | Some r when new_pins = [] -> `Solved (cached_again r)
-      | _ ->
-      (* The per-session memo above missed; try the process-wide cache
-         before building (or extending) an encoding.  A hit leaves this
-         component's incremental state untouched — a later, deeper pin
-         set simply consults the cache again or cold-builds. *)
-      match Cache.consult ~max_nodes:w.max_nodes w.db comp.crows comp_forced with
-      | `Hit hit -> `Cached hit
-      | (`Disabled | `Miss _) as consulted ->
-        `Solved
-          (Obs.span "repair.component"
-             ~attrs:
-               [ ("component", Obs.Int ci);
-                 ("rows", Obs.Int (List.length comp.crows));
-                 ("cells", Obs.Int (List.length (Ground.cells comp.crows)));
-                 ("warm", Obs.Bool (comp.enc <> None)) ]
-             (fun () ->
-               Obs.Metrics.incr m_components;
-               let initial =
-                 match comp.enc with
-                 | None ->
-                   let enc =
-                     Encode.build ~cancel ~forced:comp_forced w.db comp.crows
-                   in
-                   comp.enc <- Some enc;
-                   comp.pins <- comp_forced;
-                   (enc, None)
-                 | Some enc ->
-                   (* Delta path: append the new pins as row pairs; the
-                      instance's existing rows — and therefore the saved
-                      basis — stay valid. *)
-                   List.iter (fun pin -> ignore (Encode.add_pin enc pin)) new_pins;
-                   comp.pins <- comp_forced;
-                   comp.last <- None;
-                   (enc, comp.snap)
-               in
-               let rebuild ~big_m =
-                 (* Growing M rewrites the |y| <= M·δ coefficients: the
-                    incremental instance and its basis are stale now. *)
-                 Obs.Metrics.incr m_warm_fallbacks;
-                 let enc =
-                   Encode.build ~cancel ~big_m ~forced:comp.pins w.db comp.crows
-                 in
-                 comp.enc <- Some enc;
-                 comp.snap <- None;
-                 enc
-               in
-               let note enc (outcome : M.outcome) =
-                 comp.enc <- Some enc;
-                 comp.snap <- outcome.M.root_snapshot;
-                 Obs.add_attr "milp_vars" (Obs.Int (Encode.num_vars enc));
-                 Obs.add_attr "milp_rows" (Obs.Int (Encode.num_rows enc))
-               in
-               let r =
-                 solve_attempts ~max_nodes:w.max_nodes ~cancel ~warm:true
-                   ~db:w.db ~rebuild ~note initial
-               in
-               (* Cache deterministic outcomes only: a cancelled solve was
-                  cut short by a deadline, so the next call must retry. *)
-               let transient =
-                 match r with
-                 | Ok (_, _, _, _, _, was_cancelled) -> was_cancelled
-                 | Error (`Cancelled _) -> true
-                 | Error _ -> false
-               in
-               if not transient then comp.last <- Some r;
-               (match consulted with
-                | `Miss ctx -> Cache.remember ctx r
-                | `Disabled -> ());
-               (match r with
-                | Ok (_, _, _, wk, retries, _)
-                | Error (`Infeasible (_, wk, retries))
-                | Error (`Budget (_, wk, retries))
-                | Error (`Cancelled (_, wk, retries)) ->
-                  Obs.add_attr "nodes" (Obs.Int wk.wk_nodes);
-                  Obs.add_attr "pivots" (Obs.Int wk.wk_pivots);
-                  Obs.add_attr "m_retries" (Obs.Int retries));
-               r))
-    end
-
-  let solve ?(mapper = sequential) ?(cancel = Cancel.none) (w : t) ~forced :
-      result =
-    let t0 = Obs.now_ms () in
-    Obs.span "repair.card_minimal" ~attrs:[ ("warm", Obs.Bool true) ]
-      (fun () ->
-        try
-          (* Incremental reuse requires the pin set to only ever grow (the
-             validation loop's invariant); anything else invalidates every
-             basis and cached outcome. *)
-          if not (List.for_all (fun pin -> List.mem pin forced) w.applied)
-          then begin
-            Obs.Metrics.incr m_warm_fallbacks;
-            List.iter reset_comp w.comps
-          end;
-          w.applied <- forced;
-          if rows_satisfied w.db w.rows (restrict_forced forced w.rows) then
-            Consistent
-          else begin
-            let jobs = List.mapi (fun i c -> (i, c)) w.comps in
-            let outcomes = mapper.map (solve_comp ~cancel w) jobs in
-            let comp_meta =
-              List.map
-                (fun c ->
-                  (List.length c.crows, List.length (Ground.cells c.crows)))
-                w.comps
-            in
-            combine_outcomes ~t0 ~forced ~db:w.db ~constraints:w.constraints
-              ~ncomps:(List.length w.comps) ~rows:w.rows ~comp_meta outcomes
-          end
-        with Cancel.Cancelled ->
-          degrade ~forced ~db:w.db ~constraints:w.constraints `Cancelled
-            { empty_stats with solve_ms = Obs.elapsed_ms ~since:t0 })
-end
 
 (* ------------------------------------------------------------------ *)
 (* Display ordering (§6.3)                                             *)

@@ -100,54 +100,19 @@ val sequential : mapper
 
 val card_minimal :
   ?decompose:bool -> ?max_nodes:int -> ?forced:(Ground.cell * Rat.t) list ->
-  ?warm:bool -> ?mapper:mapper -> ?cancel:Dart_resilience.Cancel.t ->
+  ?mapper:mapper -> ?cancel:Dart_resilience.Cancel.t ->
   Database.t -> Agg_constraint.t list -> result
 (** Compute a card-minimal repair.  [forced] pins cells to exact values
     (the operator instructions of §6.3); [decompose:false] disables the
     component split (ablation E9a); [max_nodes] bounds branch & bound per
-    component; [warm:false] disables warm starts inside branch & bound
-    (ablation — the answer is identical either way); [mapper] (default
-    {!sequential}) schedules the component solves; [cancel] aborts the
-    solve cooperatively (checked every few dozen pivots / every B&B
-    node).  On cancellation or budget exhaustion the result degrades —
+    component; [mapper] (default {!sequential}) schedules the component
+    solves; [cancel] aborts the solve cooperatively (checked every few
+    dozen pivots / every B&B node).  On cancellation or budget exhaustion the result degrades —
     best incumbent, then {!Baseline.greedy} (unless [forced] pins are
     present, which greedy cannot honour) — and the repair carries its
     {!provenance}; the token never makes this function raise.
     Thread-safe: concurrent calls from different domains do not share any
     mutable state. *)
-
-(** Incremental card-minimal solving for a fixed [(db, constraints)] pair
-    under a growing pin set — the shape of the §6.3 validation loop and of
-    the server's [session/*] requests.  Each connected component keeps its
-    MILP encoding and the root basis of its last solve; a re-solve under a
-    pin superset appends the new pins as rows ({!Encode.add_pin}) and
-    warm-starts from the saved basis, and components whose pin set did not
-    change return their cached outcome without solving at all.  A pin set
-    that is not a superset of the previous one resets all incremental
-    state (counted in the [repair.warm_fallbacks] metric).  Results always
-    agree with {!card_minimal} on the same instance-plus-pins problem.
-
-    A value of type {!Warm.t} is NOT thread-safe: callers that share one
-    across domains (the server session) must serialise whole [solve]
-    calls.  The [mapper] passed to [solve] is safe because each component
-    job touches only its own component's state. *)
-module Warm : sig
-  type t
-
-  val create :
-    ?max_nodes:int -> ?rows:Ground.row list ->
-    Database.t -> Agg_constraint.t list -> t
-  (** Ground the constraints (or accept pre-computed [rows]) and set up
-      per-component incremental state.  No solving happens yet. *)
-
-  val solve :
-    ?mapper:mapper -> ?cancel:Dart_resilience.Cancel.t ->
-    t -> forced:(Ground.cell * Rat.t) list -> result
-  (** Solve under the given pins, reusing encodings/bases from the
-      previous call when [forced] is a superset of the pins last passed.
-      [stats] report only the work done by this call (cache hits
-      contribute zero nodes/pivots). *)
-end
 
 (** Process-wide bounded LRU cache of per-component solves, keyed by a
     canonical content hash of the instance (ground rows over dense cell
@@ -156,11 +121,14 @@ end
     structurally identical sub-instances from different documents share
     entries.  Only deterministic outcomes are stored (proved optima,
     budget-truncated incumbents, infeasibility — never deadline-cancelled
-    answers), so a hit is byte-identical to re-solving; like {!Warm}'s
-    per-session memo, hits contribute zero nodes/pivots to [stats].
+    answers), so a hit is byte-identical to re-solving, and hits
+    contribute zero nodes/pivots to [stats].  It is the only answer reuse
+    across {!card_minimal} calls: the validation loop's and the server
+    sessions' re-solves under a growing pin set hit it for every component
+    the new pins leave untouched.
 
-    Disabled by default ([set_budget_bytes 0]); both {!card_minimal} and
-    {!Warm.solve} consult it when enabled.  Counters:
+    Disabled by default ([set_budget_bytes 0]); {!card_minimal} consults
+    it when enabled.  Counters:
     [repair.cache_hits] / [repair.cache_misses] /
     [repair.cache_evictions]; gauges [repair.cache_entries] /
     [repair.cache_bytes].  Thread-safe. *)

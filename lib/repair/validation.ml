@@ -87,19 +87,33 @@ type outcome = {
   converged : bool;            (** loop ended with an accepted repair *)
 }
 
+(** The accepted repair once the system is consistent under the pins:
+    every pinned cell takes its pinned value. *)
+let apply_pins db pins =
+  let updates =
+    List.filter_map
+      (fun (cell, v) ->
+        let tid, attr = cell in
+        let current = Ground.db_valuation db cell in
+        if Rat.equal current v then None
+        else begin
+          let tu = Database.find db tid in
+          let rs = Schema.relation (Database.schema db) (Tuple.relation tu) in
+          Some (Update.make ~tid ~attr
+                  ~new_value:(Value.of_rat (Schema.attr_domain rs attr) v))
+        end)
+      pins
+  in
+  Update.apply db updates
+
 (** Run the loop.  [batch] caps how many updates the operator examines per
     iteration (None = all).  [max_iterations] guards non-oracle operators.
-    [warm] (default on) re-solves each iteration incrementally via
-    {!Solver.Warm}: the pin set only ever grows here, so every iteration
-    after the first appends its new pins to the previous MILPs and
-    warm-starts from the saved bases instead of re-encoding and re-solving
-    cold. *)
-let run ?batch ?(max_iterations = 50) ?(warm = true) ?cancel ~operator db
-    constraints : outcome =
+    Each iteration re-solves with {!Solver.card_minimal} under the
+    accumulated pins; components the new pins leave untouched are answered
+    by {!Solver.Cache} when it is enabled. *)
+let run ?batch ?(max_iterations = 50) ?cancel ~operator db constraints :
+    outcome =
   let rows = Ground.of_constraints db constraints in
-  let warm_state =
-    if warm then Some (Solver.Warm.create ~rows db constraints) else None
-  in
   let rec loop pins validated iterations examined =
     if iterations >= max_iterations then
       { final_db = db; iterations; examined; pins = List.length pins; converged = false }
@@ -108,29 +122,11 @@ let run ?batch ?(max_iterations = 50) ?(warm = true) ?cancel ~operator db
       let resolve =
         Obs.span "validation.resolve"
           ~attrs:[ ("iteration", Obs.Int iterations); ("pins", Obs.Int (List.length pins)) ]
-          (fun () ->
-            match warm_state with
-            | Some w -> Solver.Warm.solve ?cancel w ~forced:pins
-            | None -> Solver.card_minimal ~warm:false ~forced:pins ?cancel db constraints)
+          (fun () -> Solver.card_minimal ~forced:pins ?cancel db constraints)
       in
       match resolve with
       | Solver.Consistent ->
-        (* Apply the accumulated pins as the accepted repair. *)
-        let updates =
-          List.filter_map
-            (fun (cell, v) ->
-              let tid, attr = cell in
-              let current = Ground.db_valuation db cell in
-              if Rat.equal current v then None
-              else begin
-                let tu = Database.find db tid in
-                let rs = Schema.relation (Database.schema db) (Tuple.relation tu) in
-                Some (Update.make ~tid ~attr
-                        ~new_value:(Value.of_rat (Schema.attr_domain rs attr) v))
-              end)
-            pins
-        in
-        { final_db = Update.apply db updates;
+        { final_db = apply_pins db pins;
           iterations; examined; pins = List.length pins; converged = true }
       | Solver.No_repair _ | Solver.Node_budget_exceeded _ | Solver.Cancelled _ ->
         { final_db = db; iterations; examined; pins = List.length pins; converged = false }

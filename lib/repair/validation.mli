@@ -38,17 +38,20 @@ type outcome = {
   converged : bool;   (** ended with an accepted repair *)
 }
 
+val apply_pins : Database.t -> (Ground.cell * Dart_numeric.Rat.t) list -> Database.t
+(** The accepted repair once the system is consistent under the pins:
+    each pinned cell takes its pinned value (cells already holding it are
+    left alone). *)
+
 val run :
-  ?batch:int -> ?max_iterations:int -> ?warm:bool ->
+  ?batch:int -> ?max_iterations:int ->
   ?cancel:Dart_resilience.Cancel.t ->
   operator:operator ->
   Database.t -> Agg_constraint.t list -> outcome
 (** Run the loop.  [batch] caps updates examined per iteration (§6.3 allows
     re-computation "after validating only some of the suggested updates");
-    [max_iterations] guards non-oracle operators (default 50); [warm]
-    (default on) makes each iteration's re-solve incremental via
-    {!Solver.Warm} — pins only grow across iterations, so re-solves
-    append rows and warm-start from the previous bases; [warm:false]
-    re-encodes and solves cold every iteration (ablation — the outcome is
-    the same either way); [cancel] aborts the per-iteration re-solves
-    cooperatively (a cancelled iteration ends the loop unconverged). *)
+    [max_iterations] guards non-oracle operators (default 50); each
+    iteration re-solves with {!Solver.card_minimal} under the accumulated
+    pins, so answer reuse across iterations comes from {!Solver.Cache}
+    alone; [cancel] aborts the per-iteration re-solves cooperatively (a
+    cancelled iteration ends the loop unconverged). *)

@@ -37,10 +37,6 @@ type t = {
   scenario : Scenario.t;
   db : Database.t;                       (** the acquired instance D *)
   rows : Ground.row list;                (** ground system, computed once *)
-  warm : Solver.Warm.t;                  (** incremental solver state: pins
-                                             only grow across [decide]s, so
-                                             every re-solve appends rows and
-                                             warm-starts from the last bases *)
   max_nodes : int;
   max_iterations : int;
   mutable pins : (Ground.cell * Rat.t) list;
@@ -67,38 +63,21 @@ let pending s =
   locked s (fun () ->
       match s.phase with Proposing rho -> pending_of s rho | _ -> [])
 
-(* Apply the accumulated pins as the accepted repair (the [Consistent]
-   branch of Validation.run). *)
-let apply_pins s =
-  let updates =
-    List.filter_map
-      (fun (cell, v) ->
-        let tid, attr = cell in
-        let current = Ground.db_valuation s.db cell in
-        if Rat.equal current v then None
-        else begin
-          let tu = Database.find s.db tid in
-          let rs = Schema.relation (Database.schema s.db) (Tuple.relation tu) in
-          Some
-            (Update.make ~tid ~attr
-               ~new_value:(Value.of_rat (Schema.attr_domain rs attr) v))
-        end)
-      s.pins
-  in
-  Update.apply s.db updates
-
 (* One re-solve under the accumulated pins; mirrors one turn of the
-   Validation.run loop.  Caller holds the session mutex. *)
+   Validation.run loop, and like it reuses earlier answers only through
+   the solve cache.  Caller holds the session mutex. *)
 let resolve ~mapper ?cancel s =
   if s.iterations >= s.max_iterations then s.phase <- Failed "max_iterations"
   else begin
     let result =
       Obs.span "server.session.resolve"
         ~attrs:[ ("session", Obs.Str s.id); ("pins", Obs.Int (List.length s.pins)) ]
-        (fun () -> Solver.Warm.solve ~mapper ?cancel s.warm ~forced:s.pins)
+        (fun () ->
+          Solver.card_minimal ~max_nodes:s.max_nodes ~forced:s.pins ~mapper
+            ?cancel s.db s.scenario.Scenario.constraints)
     in
     match result with
-    | Solver.Consistent -> s.phase <- Converged (apply_pins s)
+    | Solver.Consistent -> s.phase <- Converged (Validation.apply_pins s.db s.pins)
     | Solver.Repaired (rho, _prov, _) ->
       (* Degraded (incumbent) proposals are fine here: every suggestion
          still goes through the operator before anything is applied. *)
@@ -123,9 +102,7 @@ let create ~id ?(origin_trace = "") ~scenario ~db ?(max_nodes = 2_000_000)
     ?(max_iterations = 50) ~mapper ?cancel ~now_ms ~ttl_ms () =
   let rows = Ground.of_constraints db scenario.Scenario.constraints in
   let s =
-    { id; origin_trace; scenario; db; rows;
-      warm = Solver.Warm.create ~max_nodes ~rows db scenario.Scenario.constraints;
-      max_nodes; max_iterations; pins = []; validated = []; iterations = 0;
+    { id; origin_trace; scenario; db; rows; max_nodes; max_iterations; pins = []; validated = []; iterations = 0;
       examined = 0; phase = Proposing []; expires_at_ms = now_ms +. ttl_ms;
       smu = Mutex.create () }
   in

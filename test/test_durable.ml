@@ -20,6 +20,7 @@ let constraints = scenario.Scenario.constraints
 let c_hits = Obs.Metrics.counter "repair.cache_hits"
 let c_misses = Obs.Metrics.counter "repair.cache_misses"
 let c_evictions = Obs.Metrics.counter "repair.cache_evictions"
+let c_nodes = Obs.Metrics.counter "milp.nodes"
 let c_coalesced = Obs.Metrics.counter "server.coalesced"
 let c_recovered = Obs.Metrics.counter "sessions.recovered"
 
@@ -324,26 +325,101 @@ let cache_tests =
           (update_strings db2 rows2 rho2);
         Alcotest.(check int) "a hit does zero branch & bound" 0 s2.Solver.nodes;
         Alcotest.(check int) "a hit does zero pivots" 0 s2.Solver.simplex_pivots);
-    t "the cache spans Warm instances" (fun () ->
+    t "the cache spans sessions" (fun () ->
         with_cache 32 @@ fun () ->
         let html = Test_server.doc 10 in
-        let solve () =
+        let open_session id =
           let acq = Pipeline.acquire scenario html in
-          let db = acq.Pipeline.db in
-          let w = Solver.Warm.create db constraints in
-          (db, Solver.Warm.solve w ~forced:[])
+          Session.create ~id ~scenario ~db:acq.Pipeline.db
+            ~mapper:Solver.sequential ~now_ms:0.0 ~ttl_ms:1e9 ()
         in
-        let _db1, r1 = solve () in
+        let pending_strings s =
+          List.map
+            (fun u -> Json.to_string (Proto.update_json s.Session.db u))
+            (Session.pending s)
+        in
+        let s1 = open_session "s1" in
         let h = Obs.Metrics.value c_hits in
-        let _db2, r2 = solve () in
-        Alcotest.(check bool) "fresh Warm state hits" true
+        let n = Obs.Metrics.value c_nodes in
+        let s2 = open_session "s2" in
+        Alcotest.(check bool) "a fresh session hits" true
           (Obs.Metrics.value c_hits > h);
-        let _, prov1, _ = repaired r1 in
-        let _, prov2, s2 = repaired r2 in
-        Alcotest.(check string) "provenance"
-          (Solver.provenance_to_string prov1)
-          (Solver.provenance_to_string prov2);
-        Alcotest.(check int) "no work" 0 s2.Solver.nodes);
+        Alcotest.(check int) "no branch & bound" n (Obs.Metrics.value c_nodes);
+        Alcotest.(check (list string)) "same proposal" (pending_strings s1)
+          (pending_strings s2));
+    t "a decide re-solves the pinned component; the rest hit the cache"
+      (fun () ->
+        with_cache 32 @@ fun () ->
+        let acq = Pipeline.acquire scenario (Test_server.doc 4242) in
+        let db = acq.Pipeline.db in
+        let comps = Solver.components (Ground.of_constraints db constraints) in
+        let violated =
+          List.filter
+            (fun comp ->
+              not
+                (List.for_all
+                   (Ground.row_satisfied (Ground.db_valuation db))
+                   comp))
+            comps
+        in
+        Alcotest.(check bool) "several violated components" true
+          (List.length violated >= 2);
+        let s =
+          Session.create ~id:"s1" ~scenario ~db ~mapper:Solver.sequential
+            ~now_ms:0.0 ~ttl_ms:1e9 ()
+        in
+        let u =
+          match Session.pending s with
+          | u :: _ :: _ -> u
+          | _ -> Alcotest.fail "expected at least two pending updates"
+        in
+        let index_of_cell cell =
+          let rec go i = function
+            | [] -> Alcotest.fail "pinned cell in no component"
+            | comp :: rest ->
+              if List.mem cell (Ground.cells comp) then i else go (i + 1) rest
+          in
+          go 0 comps
+        in
+        let pinned = index_of_cell (Update.cell u) in
+        let sink, events = Obs.memory_sink () in
+        let h = Obs.Metrics.value c_hits in
+        let n = Obs.Metrics.value c_nodes in
+        Obs.install sink;
+        let outcome =
+          Fun.protect
+            ~finally:(fun () -> Obs.uninstall sink)
+            (fun () ->
+              Session.decide ~mapper:Solver.sequential s
+                [ { Proto.d_tid = u.Update.tid; d_attr = u.Update.attr;
+                    d_kind = `Accept } ])
+        in
+        (match outcome with
+         | Ok (Session.Proposing _ | Session.Converged _) -> ()
+         | Ok (Session.Failed why) -> Alcotest.fail why
+         | Error e -> Alcotest.fail e);
+        Alcotest.(check int) "every other violated component hits"
+          (List.length violated - 1)
+          (Obs.Metrics.value c_hits - h);
+        (* Only a solved component opens a [repair.component] span; a hit
+           reports zero work. *)
+        let solved =
+          List.filter_map
+            (function
+              | Obs.Span { name = "repair.component"; attrs; _ } ->
+                (match
+                   (List.assoc_opt "component" attrs, List.assoc_opt "nodes" attrs)
+                 with
+                 | Some (Obs.Int ci), Some (Obs.Int nodes) -> Some (ci, nodes)
+                 | _ -> Alcotest.fail "component span without index or nodes")
+              | _ -> None)
+            (events ())
+        in
+        Alcotest.(check (list int)) "only the pinned component is solved"
+          [ pinned ] (List.map fst solved);
+        Alcotest.(check int) "the hits add no branch & bound nodes"
+          (List.fold_left (fun acc (_, nodes) -> acc + nodes) 0 solved)
+          (Obs.Metrics.value c_nodes - n));
     t "a full cache evicts within its byte budget" (fun () ->
         with_cache 32 @@ fun () ->
         let solve html =

@@ -568,12 +568,15 @@ let encode_tests =
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.1f MB <= 64 MB" mb)
           true (mb <= 64.0);
-        (* Pin lookup is a hash probe on the stored index: present and
-           absent cells answer without scanning the cell array. *)
-        Alcotest.(check bool) "pin on a known cell" true
-          (Encode.add_pin e (cells.(9_999), Rat.of_int 5));
-        Alcotest.(check bool) "pin on an unknown cell" false
-          (Encode.add_pin e ((-1, "N"), Rat.of_int 5)));
+        (* A pin on a known cell adds one equality row; a pin on a cell
+           outside the system adds none. *)
+        let pinned =
+          Encode.build
+            ~forced:[ (cells.(9_999), Rat.of_int 5); ((-1, "N"), Rat.of_int 5) ]
+            db rows
+        in
+        Alcotest.(check int) "one operator row" (Encode.num_rows e + 1)
+          (Encode.num_rows pinned));
     t "duplicate cells in one ground row combine into a single term"
       (fun () ->
         let schema =

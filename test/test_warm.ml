@@ -1,12 +1,14 @@
-(* Warm-started incremental re-solves, pinned by a differential harness.
+(* Warm-started branch & bound, pinned by a differential harness.
 
-   The warm path (Simplex snapshots + bounded dual simplex + the
-   incremental Solver.Warm state) is an optimization that must be
-   semantically invisible: these tests compare it against the cold path on
-   random repair-shaped MILP instances over both coefficient fields, pin
-   the basis invariants the warm restart relies on, regression-test
-   anti-cycling on a degenerate (Beale) instance, and check that the warm
-   work is observable in metrics and Solver.stats. *)
+   The warm path (Simplex snapshots + bounded dual simplex) is an
+   optimization that must be semantically invisible: these tests compare
+   it against the cold path on random repair-shaped MILP instances over
+   both coefficient fields, pin the basis invariants the warm restart
+   relies on, regression-test anti-cycling on a degenerate (Beale)
+   instance, and check that the warm work is observable in metrics and
+   Solver.stats.  The repair-stack tests then pin the one re-solve path of
+   the validation loop: card_minimal under pins, with the solve cache as
+   the only answer reuse across calls. *)
 
 open Dart_numeric
 open Dart_relational
@@ -166,21 +168,18 @@ module Make_diff (F : Dart_lp.Field.S) = struct
       | _ -> false)
     | sa, sb -> sa = sb
 
-  (* Incremental re-solve: pin z_0 to the value an optimal solve chose
-     (as a <=/>= row pair, like Encode.add_pin) and re-solve warm from the
-     root snapshot.  The old optimum stays feasible and the feasible set
+  (* An operator accepting a suggestion: pin z_0 to the value an optimal
+     solve chose (an equality row, as Encode.build emits pins) and re-solve
+     from scratch.  The old optimum stays feasible and the feasible set
      only shrank, so all three solves must agree on the objective. *)
-  let prop_incremental i =
+  let prop_pinned i =
     let p, z, _ = build i in
     let o0 = M.solve ~integral_objective:true p in
     match o0.M.status, o0.M.objective, o0.M.assignment with
     | M.Optimal, Some obj0, Some a ->
-      let v = a.(z.(0)) in
-      P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Le v;
-      P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Ge v;
-      let warm =
-        M.solve ~integral_objective:true ?warm_from:o0.M.root_snapshot p
-      in
+      P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Eq
+        a.(z.(0));
+      let warm = M.solve ~integral_objective:true p in
       let cold = M.solve ~integral_objective:true ~warm:false p in
       warm.M.status = M.Optimal
       && cold.M.status = M.Optimal
@@ -216,7 +215,7 @@ module Make_diff (F : Dart_lp.Field.S) = struct
            arb_inst prop)
     in
     [ q "warm == cold B&B on random repair MILPs" 500 prop_differential;
-      q "incremental pin re-solve preserves the optimum" 500 prop_incremental;
+      q "pinning an optimal value preserves the optimum" 500 prop_pinned;
       q "optimal bases are primal+dual feasible; self-warm-start is a no-op"
         500 prop_invariants ]
 end
@@ -351,60 +350,69 @@ let status_name = function
   | Solver.Node_budget_exceeded _ -> "node_budget_exceeded"
   | Solver.Cancelled _ -> "cancelled"
 
+let with_cache f = Test_durable.with_cache 8 f
+
 let repair_stack_tests =
-  [ t "Warm.solve matches card_minimal across a growing pin sequence"
+  [ t "solve cache hits match cold solves across a growing pin sequence"
       (fun () ->
         let db = Cash_budget.figure3 () in
-        let w = Solver.Warm.create db Cash_budget.constraints in
         let tcr = (find_cell db ~year:2003 ~sub:"total cash receipts", "Value") in
         let cs = (find_cell db ~year:2003 ~sub:"cash sales", "Value") in
         let pin_sets =
           [ []; [ (tcr, Rat.of_int 250) ];
             [ (cs, Rat.of_int 100); (tcr, Rat.of_int 250) ] ]
         in
-        List.iter
-          (fun forced ->
-            let warm = Solver.Warm.solve w ~forced in
-            let cold =
-              Solver.card_minimal ~warm:false ~forced db Cash_budget.constraints
-            in
+        let solve forced = Solver.card_minimal ~forced db Cash_budget.constraints in
+        let cold = List.map solve pin_sets in
+        let hits =
+          with_cache (fun () ->
+              List.iter (fun forced -> ignore (solve forced)) pin_sets;
+              List.map solve pin_sets)
+        in
+        List.iter2
+          (fun cold hit ->
             Alcotest.(check string) "same status" (status_name cold)
-              (status_name warm);
-            match warm, cold with
-            | Solver.Repaired (r1, _, _), Solver.Repaired (r2, _, _) ->
-              Alcotest.(check int) "same cardinality" (Repair.cardinality r2)
-                (Repair.cardinality r1);
-              Alcotest.(check bool) "warm repair satisfies AC" true
-                (Agg_constraint.holds_all (Update.apply db r1)
-                   Cash_budget.constraints)
+              (status_name hit);
+            match hit, cold with
+            | Solver.Repaired (r1, p1, s), Solver.Repaired (r2, p2, _) ->
+              Alcotest.(check bool) "same repair" true (r1 = r2);
+              Alcotest.(check bool) "same provenance" true (p1 = p2);
+              Alcotest.(check int) "a hit does zero branch & bound" 0
+                s.Solver.nodes
             | _ -> ())
-          pin_sets);
+          cold hits);
     t "unchanged pins reuse the cached outcome (zero extra work)" (fun () ->
+        with_cache @@ fun () ->
         let db = Cash_budget.figure3 () in
-        let w = Solver.Warm.create db Cash_budget.constraints in
-        (match Solver.Warm.solve w ~forced:[] with
+        (match Solver.card_minimal db Cash_budget.constraints with
          | Solver.Repaired (_, _, s) ->
            Alcotest.(check bool) "first call does work" true (s.Solver.nodes > 0)
          | _ -> Alcotest.fail "expected a repair");
-        match Solver.Warm.solve w ~forced:[] with
+        match Solver.card_minimal db Cash_budget.constraints with
         | Solver.Repaired (_, _, s) ->
           Alcotest.(check int) "cache hit: zero nodes" 0 s.Solver.nodes;
           Alcotest.(check int) "cache hit: zero pivots" 0 s.Solver.simplex_pivots
         | _ -> Alcotest.fail "expected a repair");
-    t "non-superset pin set resets warm state (repair.warm_fallbacks)"
-      (fun () ->
-        let db = Cash_budget.figure3 () in
-        let w = Solver.Warm.create db Cash_budget.constraints in
-        let tcr = (find_cell db ~year:2003 ~sub:"total cash receipts", "Value") in
-        ignore (Solver.Warm.solve w ~forced:[ (tcr, Rat.of_int 250) ]);
-        let before = counter_value "repair.warm_fallbacks" in
-        (match Solver.Warm.solve w ~forced:[] with
-         | Solver.Repaired (_, _, s) ->
-           Alcotest.(check bool) "reset means real work again" true
-             (s.Solver.nodes > 0)
-         | _ -> Alcotest.fail "expected a repair");
-        Alcotest.(check bool) "fallback counted" true
-          (counter_value "repair.warm_fallbacks" > before));
+    t "repair.warm_fallbacks advances by stats.warm_fallbacks" (fun () ->
+        List.iter
+          (fun seed ->
+            let prng = Prng.create seed in
+            let truth = Cash_budget.generate ~years:3 prng in
+            let corrupted, _ = Cash_budget.corrupt ~errors:3 prng truth in
+            let before = counter_value "repair.warm_fallbacks" in
+            match Solver.card_minimal corrupted Cash_budget.constraints with
+            | Solver.Consistent ->
+              Alcotest.(check int) "consistent: no solve" before
+                (counter_value "repair.warm_fallbacks")
+            | Solver.Repaired (_, _, stats)
+            | Solver.No_repair stats
+            | Solver.Node_budget_exceeded stats
+            | Solver.Cancelled stats ->
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d: counter delta" seed)
+                stats.Solver.warm_fallbacks
+                (counter_value "repair.warm_fallbacks" - before))
+          [ 3; 17; 29; 58; 91 ]);
     t "warm work is observable: metrics tick and stats surface it" (fun () ->
         let before_ws = counter_value "lp.simplex.warm_starts" in
         let before_dp = counter_value "lp.simplex.dual_pivots" in
@@ -422,14 +430,18 @@ let repair_stack_tests =
           (counter_value "lp.simplex.warm_starts" > before_ws);
         Alcotest.(check bool) "lp.simplex.dual_pivots ticked" true
           (counter_value "lp.simplex.dual_pivots" > before_dp));
-    t "warm off: a cold card_minimal reports zero warm work" (fun () ->
+    t "warm off: a cold Milp.solve reports zero warm work" (fun () ->
         let db = Cash_budget.figure3 () in
-        match Solver.card_minimal ~warm:false db Cash_budget.constraints with
-        | Solver.Repaired (_, _, stats) ->
-          Alcotest.(check int) "no warm starts" 0 stats.Solver.warm_starts;
-          Alcotest.(check int) "no dual pivots" 0 stats.Solver.dual_pivots
-        | _ -> Alcotest.fail "expected a repair");
-    t "validation loop: warm on/off produce identical final databases"
+        let rows = Ground.of_constraints db Cash_budget.constraints in
+        let enc = Encode.build db rows in
+        let module M = Dart_lp.Milp.Make (Dart_lp.Field_rat) in
+        let o =
+          M.solve ~integral_objective:true ~warm:false enc.Encode.problem
+        in
+        Alcotest.(check bool) "optimal" true (o.M.status = M.Optimal);
+        Alcotest.(check int) "no warm starts" 0 o.M.warm_starts;
+        Alcotest.(check int) "no dual pivots" 0 o.M.dual_pivots);
+    t "validation loop: cache on/off produce identical final databases"
       (fun () ->
         List.iter
           (fun seed ->
@@ -437,17 +449,17 @@ let repair_stack_tests =
             let truth = Cash_budget.generate ~years:2 prng in
             let corrupted, _ = Cash_budget.corrupt ~errors:2 prng truth in
             let operator = Validation.oracle ~truth in
-            let on =
-              Validation.run ~warm:true ~operator corrupted
-                Cash_budget.constraints
+            let run () =
+              Validation.run ~operator corrupted Cash_budget.constraints
             in
-            let off =
-              Validation.run ~warm:false ~operator corrupted
-                Cash_budget.constraints
-            in
+            let off = run () in
+            let on = with_cache run in
             Alcotest.(check bool)
               (Printf.sprintf "seed %d: same convergence" seed)
               off.Validation.converged on.Validation.converged;
+            Alcotest.(check int)
+              (Printf.sprintf "seed %d: same iterations" seed)
+              off.Validation.iterations on.Validation.iterations;
             Alcotest.(check bool)
               (Printf.sprintf "seed %d: identical final databases" seed)
               true
