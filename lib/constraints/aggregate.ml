@@ -90,8 +90,21 @@ module Index = struct
        | None -> !ts
        | Some keep -> List.filter (keep (Array.map Option.some actuals)) !ts)
 
+  (* Integer values — the common case — are added by their numerators,
+     skipping [Rat.add]'s cross products and gcd; the first non-integer
+     switches to rational addition for the rest.  Same sum either way. *)
   let sum idx actuals =
-    List.fold_left (fun acc tu -> Rat.add acc (idx.value tu)) Rat.zero (involved idx actuals)
+    let rec ints acc = function
+      | [] -> Rat.of_bigint acc
+      | tu :: rest ->
+        let v = idx.value tu in
+        if Rat.is_integer v then ints (Bigint.add acc (Rat.num v)) rest
+        else rats (Rat.add (Rat.of_bigint acc) v) rest
+    and rats acc = function
+      | [] -> acc
+      | tu :: rest -> rats (Rat.add acc (idx.value tu)) rest
+    in
+    ints Bigint.zero (involved idx actuals)
 end
 
 module Indexes = struct

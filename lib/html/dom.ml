@@ -9,25 +9,28 @@ type node =
   | Element of { name : string; attrs : (string * string) list; children : node list }
   | Text of string
 
-let void_elements =
-  [ "area"; "base"; "br"; "col"; "embed"; "hr"; "img"; "input"; "link"; "meta";
-    "param"; "source"; "track"; "wbr" ]
+let is_void = function
+  | "area" | "base" | "br" | "col" | "embed" | "hr" | "img" | "input" | "link" | "meta"
+  | "param" | "source" | "track" | "wbr" -> true
+  | _ -> false
 
 (* Start of [name] implicitly closes an open [open_name]? *)
 let implies_close ~open_name ~name =
-  match name with
-  | "tr" -> List.mem open_name [ "tr"; "td"; "th" ]
-  | "td" | "th" -> List.mem open_name [ "td"; "th" ]
-  | "li" -> open_name = "li"
-  | "p" -> open_name = "p"
-  | "tbody" | "thead" | "tfoot" -> List.mem open_name [ "tr"; "td"; "th"; "tbody"; "thead"; "tfoot" ]
-  | "table" -> false (* nested tables are legitimate *)
-  | _ -> false
+  match name, open_name with
+  | "tr", ("tr" | "td" | "th")
+  | ("td" | "th"), ("td" | "th")
+  | "li", "li"
+  | "p", "p"
+  | ("tbody" | "thead" | "tfoot"), ("tr" | "td" | "th" | "tbody" | "thead" | "tfoot") -> true
+  | _ -> false (* nested tables are legitimate *)
+
+(* Whitespace-only text, by [String.trim]'s notion of whitespace. *)
+let is_blank t =
+  String.for_all (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false) t
 
 type frame = { fname : string; fattrs : (string * string) list; mutable rev_children : node list }
 
 let parse (html : string) : node list =
-  let tokens = Tokenizer.tokenize html in
   let stack : frame list ref = ref [] in
   let roots : node list ref = ref [] in
   let add_node n =
@@ -53,11 +56,11 @@ let parse (html : string) : node list =
       end
       (* else: stray end tag, ignore *)
   in
-  List.iter
+  Tokenizer.iter
     (fun tok ->
       match tok with
       | Tokenizer.Text t ->
-        if String.trim t <> "" then add_node (Text t)
+        if not (is_blank t) then add_node (Text t)
       | Tokenizer.End_tag name -> close_until name
       | Tokenizer.Start_tag { name; attrs; self_closing } ->
         let rec auto_close () =
@@ -68,10 +71,10 @@ let parse (html : string) : node list =
           | _ -> ()
         in
         auto_close ();
-        if self_closing || List.mem name void_elements then
+        if self_closing || is_void name then
           add_node (Element { name; attrs; children = [] })
         else stack := { fname = name; fattrs = attrs; rev_children = [] } :: !stack)
-    tokens;
+    html;
   while !stack <> [] do close_top () done;
   List.rev !roots
 
@@ -103,28 +106,49 @@ let find_all tag nodes =
 let child_elements tag node =
   List.filter (fun c -> name c = Some tag) (children node)
 
-(** Concatenated text content, whitespace-normalized. *)
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+(* Already normalized: no leading, trailing or doubled whitespace, and
+   no whitespace but ' '. *)
+let is_squeezed t =
+  let n = String.length t in
+  n > 0 && not (is_space t.[0]) && not (is_space t.[n - 1])
+  && (let rec ok i =
+        i >= n
+        || (match t.[i] with
+            | ' ' -> not (is_space t.[i + 1]) && ok (i + 2)
+            | '\t' | '\n' | '\r' -> false
+            | _ -> ok (i + 1))
+      in
+      ok 0)
+
+(** Concatenated text content, whitespace-normalized: text nodes are
+    joined by a space and runs of whitespace squeezed to one, in one pass.
+    A single text node that is already normalized is returned uncopied. *)
 let text_content node =
-  let buf = Buffer.create 32 in
-  let rec go = function
-    | Text t -> Buffer.add_string buf t; Buffer.add_char buf ' '
-    | Element { children; _ } -> List.iter go children
-  in
-  go node;
-  (* squeeze runs of whitespace *)
-  let raw = Buffer.contents buf in
-  let out = Buffer.create (String.length raw) in
-  let pending_space = ref false in
-  String.iter
-    (fun c ->
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then pending_space := true
-      else begin
-        if !pending_space && Buffer.length out > 0 then Buffer.add_char out ' ';
-        pending_space := false;
-        Buffer.add_char out c
-      end)
-    raw;
-  Buffer.contents out
+  match node with
+  | Text t | Element { children = [ Text t ]; _ } when is_squeezed t -> t
+  | _ ->
+    let buf = Buffer.create 32 in
+    let pending_space = ref false in
+    let add_text t =
+      String.iter
+        (fun c ->
+          if is_space c then pending_space := true
+          else begin
+            if !pending_space && Buffer.length buf > 0 then Buffer.add_char buf ' ';
+            pending_space := false;
+            Buffer.add_char buf c
+          end)
+        t;
+      pending_space := true
+    in
+    let rec go = function
+      | Text t -> add_text t
+      | Element { children; _ } -> List.iter go children
+    in
+    go node;
+    Buffer.contents buf
 
 let rec pp fmt = function
   | Text t -> Format.fprintf fmt "%S" t

@@ -5,8 +5,6 @@ type node =
   | Element of { name : string; attrs : (string * string) list; children : node list }
   | Text of string
 
-val void_elements : string list
-
 val parse : string -> node list
 (** Never fails: malformed markup degrades to text; stray end tags are
     ignored; unclosed elements close at EOF; [</td>], [</tr>], [</li>],

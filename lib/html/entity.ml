@@ -11,9 +11,8 @@ let named = function
   | "mdash" -> Some "--"
   | _ -> None
 
-(** Decode [&name;], [&#NN;] and [&#xHH;] references; unknown references are
-    left verbatim. *)
-let decode s =
+(* Decode [&name;], [&#NN;] and [&#xHH;] references in [s]. *)
+let decode_refs s =
   let buf = Buffer.create (String.length s) in
   let len = String.length s in
   let rec go i =
@@ -42,12 +41,18 @@ let decode s =
       | _ -> Buffer.add_char buf '&'; go (i + 1)
     end
     else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
+      (* copy the run up to the next reference in one go *)
+      let j = match String.index_from_opt s i '&' with Some j -> j | None -> len in
+      Buffer.add_substring buf s i (j - i);
+      go j
     end
   in
   go 0;
   Buffer.contents buf
+
+(** Decode [&name;], [&#NN;] and [&#xHH;] references; unknown references are
+    left verbatim.  Text without [&] is returned as is, uncopied. *)
+let decode s = if String.contains s '&' then decode_refs s else s
 
 (** Encode text for safe inclusion in HTML content or attributes. *)
 let encode s =

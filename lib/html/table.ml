@@ -23,16 +23,20 @@ type t = {
       lets callers distinguish a spanning continuation from a new cell *)
 }
 
-let int_attr node name ~default =
-  match Dom.attr node name with
-  | Some v -> (match int_of_string_opt (String.trim v) with Some n when n >= 1 -> n | _ -> default)
-  | None -> default
+(* A span attribute as the HTML table model reads it: trimmed digits only,
+   0 or anything else is 1, and values above [limit] are [limit] — so a
+   hostile [colspan="3000000"] costs 1000 columns, not millions. *)
+let span_attr node name ~limit =
+  match Option.map String.trim (Dom.attr node name) with
+  | Some v when String.for_all (fun c -> c >= '0' && c <= '9') v ->
+    Int.max 1 (String.fold_left (fun n c -> Int.min limit ((10 * n) + Char.code c - 48)) 0 v)
+  | _ -> 1
 
 let cell_of_node node =
   { text = Dom.text_content node;
-    rowspan = int_attr node "rowspan" ~default:1;
-    colspan = int_attr node "colspan" ~default:1;
-    header = Dom.name node = Some "th" }
+    rowspan = span_attr node "rowspan" ~limit:65534;
+    colspan = span_attr node "colspan" ~limit:1000;
+    header = (match node with Dom.Element { name = "th"; _ } -> true | _ -> false) }
 
 (** Rows of a [<table>] element, traversing thead/tbody/tfoot in document
     order but not descending into nested tables. *)
@@ -54,35 +58,44 @@ let expand (raw_rows : cell list list) =
   else begin
     (* Simulate placement: walk rows left to right, skipping columns already
        claimed by spanning cells from earlier rows, recording placements and
-       the resulting table width. *)
+       the resulting table width.  A span claims a column for a run of rows
+       from the current one down, so [busy.(c)] — the first row at which
+       column [c] is free again — says everything about occupancy. *)
     let width = ref 0 in
-    let occupied = Array.make nrows [] in
+    let busy = ref (Array.make 16 0) in
     let cells_at = ref [] in (* (r, c, cell) placements *)
     List.iteri
       (fun r row ->
         let col = ref 0 in
-        let is_free c = not (List.mem c occupied.(r)) in
+        let is_free c = c >= Array.length !busy || !busy.(c) <= r in
         List.iter
           (fun cell ->
             while not (is_free !col) do incr col done;
             cells_at := (r, !col, cell) :: !cells_at;
-            for dr = 0 to min (cell.rowspan - 1) (nrows - 1 - r) do
-              for dc = 0 to cell.colspan - 1 do
-                occupied.(r + dr) <- (!col + dc) :: occupied.(r + dr)
-              done
+            let last = !col + cell.colspan in
+            if last > Array.length !busy then begin
+              let b = Array.make (Int.max last (2 * Array.length !busy)) 0 in
+              Array.blit !busy 0 b 0 (Array.length !busy);
+              busy := b
+            end;
+            let until = r + Int.min cell.rowspan (nrows - r) in
+            for c = !col to last - 1 do
+              if !busy.(c) < until then !busy.(c) <- until
             done;
-            width := max !width (!col + cell.colspan);
-            col := !col + cell.colspan)
+            width := Int.max !width last;
+            col := last)
           row)
       raw_rows;
     let grid = Array.make_matrix nrows !width None in
     let origin = Array.make_matrix nrows !width (-1, -1) in
+    (* Earlier placements win where spans overlap: they are written last. *)
     List.iter
       (fun (r, c, cell) ->
+        let text = Some cell.text and o = (r, c) in
         for dr = 0 to min (cell.rowspan - 1) (nrows - 1 - r) do
           for dc = 0 to min (cell.colspan - 1) (!width - 1 - c) do
-            grid.(r + dr).(c + dc) <- Some cell.text;
-            origin.(r + dr).(c + dc) <- (r, c)
+            grid.(r + dr).(c + dc) <- text;
+            origin.(r + dr).(c + dc) <- o
           done
         done)
       !cells_at;
@@ -126,7 +139,8 @@ let is_cell_origin t ~row ~col =
   && t.origin.(row).(col) = (row, col)
 
 (** Logical row as a list of texts (continuations included). *)
-let row_texts t row = Array.to_list (Array.map (Option.value ~default:"") t.grid.(row))
+let row_texts t row =
+  Array.fold_right (fun c acc -> Option.value c ~default:"" :: acc) t.grid.(row) []
 
 (* ------------------------------------------------------------------ *)
 (* Rendering (used by the generators to produce input documents)       *)

@@ -10,3 +10,7 @@ type token =
 val tokenize : string -> token list
 (** Tag and attribute names are lowercased; text and attribute values are
     entity-decoded; script/style bodies are dropped. *)
+
+val iter : (token -> unit) -> string -> unit
+(** The tokens of {!tokenize}, handed over one at a time as they are
+    read, with no list built. *)

@@ -5,6 +5,11 @@
     "beginning cash").  Damerau–Levenshtein (with adjacent transpositions)
     matches the OCR channel's error modes. *)
 
+(* Monomorphic: [Stdlib.min] would go through polymorphic compare. *)
+let min3 (x : int) y z =
+  let m = if x < y then x else y in
+  if m < z then m else z
+
 (** Classic Levenshtein distance (insert/delete/substitute, unit costs). *)
 let levenshtein a b =
   let la = String.length a and lb = String.length b in
@@ -17,7 +22,7 @@ let levenshtein a b =
       cur.(0) <- i;
       for j = 1 to lb do
         let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-        cur.(j) <- min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+        cur.(j) <- min3 (cur.(j - 1) + 1) (prev.(j) + 1) (prev.(j - 1) + cost)
       done;
       Array.blit cur 0 prev 0 (lb + 1)
     done;
@@ -29,7 +34,10 @@ let levenshtein a b =
     after being transposed), not the cheaper optimal-string-alignment one:
     OSA violates the triangle inequality (d("ca","abc") = 3 > d("ca","ac") +
     d("ac","abc") = 2), which breaks the BK-tree's pruning invariant and
-    made radius queries silently drop matches.  True DL is a metric. *)
+    made radius queries silently drop matches.  True DL is a metric.
+
+    The workspace is allocated per call, never shared: lookups run
+    concurrently on pool domains and on systhreads. *)
 let damerau_levenshtein a b =
   let la = String.length a and lb = String.length b in
   if la = 0 then lb
@@ -39,9 +47,12 @@ let damerau_levenshtein a b =
     (* h is offset by one row/column of sentinels (the standard DL layout),
        stored flat for locality: h.((i+1)*w + j+1) is the distance between
        a[0..i) and b[0..j).  The transposition case reads an arbitrary
-       earlier row, so the full matrix must be kept. *)
+       earlier row, so the full matrix must be kept.  After the matrix,
+       h.(rows + j) is the last row i' < i with a[i'-1] = b[j-1]: the
+       textbook per-byte table, kept per column of b instead. *)
     let w = lb + 2 in
-    let h = Array.make ((la + 2) * w) 0 in
+    let rows = (la + 2) * w in
+    let h = Array.make (rows + lb + 1) 0 in
     h.(0) <- inf;
     for i = 0 to la do
       h.((i + 1) * w) <- inf;
@@ -51,24 +62,28 @@ let damerau_levenshtein a b =
       h.(j + 1) <- inf;
       h.(w + j + 1) <- j
     done;
-    let last_row = Array.make 256 0 in (* last row where each byte occurred in a *)
     for i = 1 to la do
       let ca = a.[i - 1] in
       let last_col = ref 0 in (* last column where a.[i-1] occurred in b *)
       let base = (i + 1) * w and prev = i * w in
       for j = 1 to lb do
-        let cb = b.[j - 1] in
-        let i' = last_row.(Char.code cb) in
-        let j' = !last_col in
-        let cost = if ca = cb then begin last_col := j; 0 end else 1 in
-        h.(base + j + 1) <-
-          min
-            (min (h.(prev + j) + cost) (* substitute / match *)
-               (h.(base + j) + 1)) (* insert *)
-            (min (h.(prev + j + 1) + 1) (* delete *)
-               (h.((i' * w) + j') + (i - i' - 1) + 1 + (j - j' - 1))) (* transpose *)
-      done;
-      last_row.(Char.code ca) <- i
+        let i' = h.(rows + j) and j' = !last_col in
+        let cost =
+          if ca = b.[j - 1] then begin
+            last_col := j;
+            h.(rows + j) <- i; (* read above for this row, so safe to move on *)
+            0
+          end
+          else 1
+        in
+        let d =
+          min3 (h.(prev + j) + cost) (* substitute / match *)
+            (h.(base + j) + 1) (* insert *)
+            (h.(prev + j + 1) + 1) (* delete *)
+        in
+        let t = h.((i' * w) + j') + (i - i' - 1) + 1 + (j - j' - 1) in (* transpose *)
+        h.(base + j + 1) <- (if t < d then t else d)
+      done
     done;
     h.(((la + 1) * w) + lb + 1)
   end

@@ -4,8 +4,8 @@ val levenshtein : string -> string -> int
 (** Insert/delete/substitute, unit costs. *)
 
 val damerau_levenshtein : string -> string -> int
-(** Optimal-string-alignment variant: Levenshtein plus adjacent
-    transposition as one edit — matches OCR error modes. *)
+(** Unrestricted Damerau–Levenshtein (a metric): Levenshtein plus
+    adjacent transposition as one edit — matches OCR error modes. *)
 
 val similarity : string -> string -> float
 (** Normalized similarity in [0, 1]: [1 - d / max-length].  This is the

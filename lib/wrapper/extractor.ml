@@ -46,7 +46,7 @@ let match_table meta ~table_index (table : Table.t) : row_report list =
 let repaired_cells (inst : Matcher.instance) =
   Array.fold_left
     (fun acc (c : Matcher.instance_cell) ->
-      if c.Matcher.bound <> String.trim c.Matcher.raw then acc + 1 else acc)
+      if String.equal c.Matcher.bound (String.trim c.Matcher.raw) then acc else acc + 1)
     0 inst.Matcher.cells
 
 (** Run the wrapper over every table of an HTML document. *)

@@ -22,13 +22,30 @@ type instance = {
   row_score : float;
 }
 
-(* Numeric leniency: strip the separators OCR tends to keep. *)
+(* Numeric leniency: strip the separators OCR tends to keep, in one pass;
+   a string with none is returned uncopied. *)
 let clean_numeric s =
-  String.concat ""
-    (String.split_on_char ' '
-       (String.concat "" (String.split_on_char ',' (String.trim s))))
+  let s = String.trim s in
+  let sep c = c = ',' || c = ' ' in
+  if not (String.exists sep s) then s
+  else begin
+    let b = Buffer.create (String.length s) in
+    String.iter (fun c -> if not (sep c) then Buffer.add_char b c) s;
+    Buffer.contents b
+  end
 
-(** Match one cell against a pattern cell: the bound text and a score. *)
+(* Already in [string_of_int] form: an optional '-', then digits with no
+   leading zero (and no "-0"). *)
+let is_canonical_int s =
+  let n = String.length s in
+  let d = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let rec digits i = i >= n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  n > d && (s.[d] <> '0' || n = 1) && digits d
+
+(** Match one cell against a pattern cell: the bound text and a score.
+    The cell is trimmed once; the bound text is that trimmed string
+    itself unless binding has to rewrite it (separators, integer form,
+    dictionary spelling). *)
 let match_cell meta (pc : Metadata.pattern_cell) raw =
   let trimmed = String.trim raw in
   match pc.Metadata.domain with
@@ -36,7 +53,7 @@ let match_cell meta (pc : Metadata.pattern_cell) raw =
   | Metadata.Std_integer ->
     let cleaned = clean_numeric trimmed in
     (match int_of_string_opt cleaned with
-     | Some n -> Some (string_of_int n, 1.0)
+     | Some n -> Some ((if is_canonical_int cleaned then cleaned else string_of_int n), 1.0)
      | None -> None)
   | Metadata.Std_real ->
     let cleaned = clean_numeric trimmed in
@@ -64,33 +81,32 @@ let hierarchy_ok meta (pattern : Metadata.row_pattern) (bound : string array) =
     pattern.Metadata.cells;
   !ok
 
-(** Try to match a row (list of texts) against one pattern. *)
+(** Try to match a row (list of texts) against one pattern.  Cells bind
+    left to right and the first cell that cannot match ends the attempt:
+    a header row does not pay for dictionary lookups. *)
 let match_pattern meta (pattern : Metadata.row_pattern) (row : string list) : instance option =
-  let cells = pattern.Metadata.cells in
-  if List.length row <> Array.length cells then None
+  let pcs = pattern.Metadata.cells in
+  let n = Array.length pcs in
+  if List.length row <> n then None
   else begin
-    let row = Array.of_list row in
-    let results =
-      Array.mapi (fun i pc -> Option.map (fun (b, s) -> (row.(i), b, s))
-                     (match_cell meta pc row.(i)))
-        cells
+    let cells = Array.make n { raw = ""; bound = ""; cell_score = 0.0 } in
+    let rec bind i = function
+      | [] -> true
+      | raw :: rest ->
+        (match match_cell meta pcs.(i) raw with
+         | None -> false
+         | Some (bound, cell_score) ->
+           cells.(i) <- { raw; bound; cell_score };
+           bind (i + 1) rest)
     in
-    if Array.exists Option.is_none results then None
+    if not (bind 0 row) then None
+    else if not (hierarchy_ok meta pattern (Array.map (fun c -> c.bound) cells)) then None
     else begin
-      let results = Array.map Option.get results in
-      let bound = Array.map (fun (_, b, _) -> b) results in
-      if not (hierarchy_ok meta pattern bound) then None
-      else begin
-        let scores = Array.to_list (Array.map (fun (_, _, s) -> s) results) in
-        let row_score = Metadata.combine_scores meta scores in
-        if row_score < meta.Metadata.min_row_score then None
-        else
-          Some
-            { pattern;
-              cells =
-                Array.map (fun (raw, bound, cell_score) -> { raw; bound; cell_score }) results;
-              row_score }
-      end
+      let row_score =
+        Metadata.combine_scores meta (Array.fold_right (fun c acc -> c.cell_score :: acc) cells [])
+      in
+      if row_score < meta.Metadata.min_row_score then None
+      else Some { pattern; cells; row_score }
     end
   end
 

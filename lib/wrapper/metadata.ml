@@ -59,11 +59,18 @@ let make ?(t_norm = `Min) ?(min_row_score = 0.5) ~domains ~hierarchy ~patterns
     patterns;
   { domains = dict_domains; hierarchy; patterns; classification; t_norm; min_row_score }
 
+(* [List.assoc_opt] by [String.equal]: these run per matched cell, and
+   polymorphic compare is several times slower on strings. *)
+let rec assoc_str key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc_str key rest
+
 (** Dictionary of a named domain.  @raise Not_found for unknown domains. *)
-let domain_dictionary t name = List.assoc name t.domains
+let domain_dictionary t name =
+  match assoc_str name t.domains with Some d -> d | None -> raise Not_found
 
 (** Direct generalization of a lexical item, if declared. *)
-let generalization_of t item = List.assoc_opt item t.hierarchy
+let generalization_of t item = assoc_str item t.hierarchy
 
 (** Transitive specialization test: is [item] a specialization of
     [ancestor] (one or more hierarchy steps up)? *)
@@ -77,7 +84,7 @@ let is_specialization_of t ~item ~ancestor =
   climb item 0
 
 (** Class label of a lexical item (classification information). *)
-let class_of t item = List.assoc_opt item t.classification
+let class_of t item = assoc_str item t.classification
 
 let combine_scores t scores =
   match t.t_norm with

@@ -112,9 +112,9 @@ let kind_name = function
   | Catalog -> "catalog"
   | Quarterly -> "quarterly"
 
-(* Generate, inject [errors] wrong numbers, render through the OCR noise
-   channel and acquire: the database detection sees in production. *)
-let acquired kind ~years ~errors seed =
+(* Generate, inject [errors] wrong numbers and render through the OCR
+   noise channel: the document acquisition sees in production. *)
+let document kind ~years ~errors seed =
   let prng = Prng.create seed in
   let truth, scenario =
     match kind with
@@ -139,6 +139,11 @@ let acquired kind ~years ~errors seed =
     | Catalog -> Catalog.to_html ~channel ~prng bad
     | Quarterly -> Quarterly.to_html ~channel ~prng bad
   in
+  (html, scenario)
+
+(* ... and acquired: the database detection sees in production. *)
+let acquired kind ~years ~errors seed =
+  let html, scenario = document kind ~years ~errors seed in
   ((Dart.Pipeline.acquire scenario html).Dart.Pipeline.db, scenario)
 
 let scenario_arb =

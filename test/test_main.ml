@@ -15,6 +15,7 @@ let () =
       ("repair", Test_repair.suite);
       ("html", Test_html.suite);
       ("textdict", Test_textdict.suite);
+      ("acquire", Test_acquire.suite);
       ("ocr", Test_ocr.suite);
       ("wrapper", Test_wrapper.suite);
       ("datagen", Test_datagen.suite);
