@@ -580,17 +580,9 @@ let serve_cmd =
              tree -> incumbent-only -> greedy), trading repair optimality \
              for latency and recovering when load drains.")
   in
-  let target_queue_wait =
-    Arg.(
-      value & opt (some float) None
-      & info [ "target-queue-wait-ms" ] ~docv:"MS"
-          ~doc:
-            "Queue wait the load controller treats as \"full but \
-             healthy\" (load factor 1.0).  Default 50.")
-  in
   let run finalize addr domains queue ttl chaos telemetry_port flight_dir
       access_log access_log_max_bytes data_dir wal_shards snapshot_every
-      solve_cache_mb no_overload no_brownout target_queue_wait =
+      solve_cache_mb no_overload no_brownout =
     let cfg = Server.default_config ~scenarios:all_scenarios addr in
     let faults =
       match chaos with
@@ -616,10 +608,7 @@ let serve_cmd =
         snapshot_every =
           Option.value ~default:cfg.Server.snapshot_every snapshot_every;
         solve_cache_mb;
-        overload = not no_overload; brownout = not no_brownout;
-        target_queue_wait_ms =
-          Option.value ~default:cfg.Server.target_queue_wait_ms
-            target_queue_wait }
+        overload = not no_overload; brownout = not no_brownout }
     in
     let t = Server.create cfg in
     Server.install_signal_handlers t;
@@ -659,7 +648,7 @@ let serve_cmd =
       const run $ obs_term $ addr_arg $ domains $ queue $ ttl $ chaos
       $ telemetry_port $ flight_dir $ access_log $ access_log_max_bytes
       $ data_dir $ wal_shards $ snapshot_every $ solve_cache_mb $ no_overload
-      $ no_brownout $ target_queue_wait)
+      $ no_brownout)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

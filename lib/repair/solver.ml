@@ -248,12 +248,13 @@ type comp_solved =
    | `Cancelled of Encode.t * work * int ])
   Stdlib.result
 
-(** A process-wide cache hit: the component's answer was computed by an
-    earlier request on a structurally identical instance.  Carries enough
-    to feed the report (instance size, retries) but no {!Encode.t} — the
-    hit did not build one. *)
+(** A process-wide cache hit: the component's proven answer (its
+    card-minimal repair, or infeasibility) was computed by an earlier
+    request on a structurally identical instance.  Carries enough to feed
+    the report (instance size, retries) but no {!Encode.t} — the hit did
+    not build one. *)
 type cached_hit = {
-  ch_answer : [ `Repaired of Repair.t * provenance | `Infeasible ];
+  ch_answer : [ `Repaired of Repair.t | `Infeasible ];
   ch_vars : int;
   ch_milp_rows : int;
   ch_retries : int;
@@ -266,20 +267,14 @@ type comp_outcome = [ `Satisfied | `Solved of comp_solved | `Cached of cached_hi
 (* ------------------------------------------------------------------ *)
 
 module Cache = struct
-  (** Process-wide bounded LRU memo of per-component solves, keyed by a
-      canonical content hash of the repair instance: ground rows
-      (coefficients over dense cell indices, op, rhs), the cells' current
-      values and integer-domain flags, the operator pins, the node budget
-      and the coefficient field.  Tuple ids are canonicalized away, so
-      structurally identical sub-instances from different documents (the
-      template-repeated workload of BENCH_serve2) share entries; a hit is
-      translated back through the live component's cell order.
-
-      Only deterministic outcomes are cached — proved optima, incumbents
-      of budget-truncated (not deadline-cancelled) searches, and
-      infeasibility — so a hit is byte-identical to re-solving (pinned by
-      the determinism suite).  Disabled by default ([budget = 0]); the
-      server enables it via [--solve-cache-mb]. *)
+  (** Process-wide bounded LRU memo of per-component solves (contract in
+      the interface).  The key is a canonical content hash of the instance
+      alone — ground rows over dense cell indices, cell values and
+      integer-domain flags, pins — so structurally identical sub-instances
+      from different documents share entries; a hit is translated back
+      through the live component's cell order.  Only proven answers are
+      stored, so the node budget is not in the key.  Disabled by default
+      ([budget = 0]); the server enables it via [--solve-cache-mb]. *)
 
   module R = Dart_relational
 
@@ -292,8 +287,8 @@ module Cache = struct
   (* Repairs are stored field-agnostically as dense-cell-index changes and
      re-materialized against the live database at hit time. *)
   type stored =
-    | S_repaired of provenance * (int * Rat.t) list * int * int * int
-        (** provenance, changes, vars, milp rows, retries *)
+    | S_repaired of (int * Rat.t) list * int * int * int
+        (** changes, vars, milp rows, retries *)
     | S_infeasible of int * int * int  (** vars, milp rows, retries *)
 
   type entry = { value : stored; cost : int; mutable used : int }
@@ -354,26 +349,11 @@ module Cache = struct
   (* The canonical form of one component instance.  Cells are named by
      their first-appearance index; pins are sorted by that index so pin
      order cannot split otherwise-identical keys. *)
-  let canonical ~max_nodes db rows forced =
+  let canonical db rows forced =
     let cells = Array.of_list (Ground.cells rows) in
     let idx = Hashtbl.create (Array.length cells * 2) in
     Array.iteri (fun i c -> Hashtbl.replace idx c i) cells;
     let buf = Buffer.create 512 in
-    (* Solver-config fingerprint, ahead of the instance itself: the
-       schema version, coefficient field, node budget, big-M retry cap
-       and the instance's starting big-M.  A config change across
-       restarts (or a brownout-tightened budget) therefore keys a
-       different entry and can never rematerialize a stale cached
-       repair computed under other solver settings. *)
-    Buffer.add_string buf "v3;rat;";
-    Buffer.add_string buf (Simplex.core_to_string (Simplex.default_core ()));
-    Buffer.add_char buf ';';
-    Buffer.add_string buf (string_of_int max_nodes);
-    Buffer.add_char buf ';';
-    Buffer.add_string buf (string_of_int max_big_m_retries);
-    Buffer.add_char buf ';';
-    Buffer.add_string buf (Rat.to_string (Encode.default_big_m db rows));
-    Buffer.add_char buf ';';
     Array.iter
       (fun c ->
         Buffer.add_char buf (if Encode.cell_is_integer db c then 'z' else 'r');
@@ -428,10 +408,10 @@ module Cache = struct
     | `Hit of cached_hit
     | `Miss of string * (Ground.cell, int) Hashtbl.t ]
 
-  let consult ~max_nodes db rows forced : consulted =
+  let consult db rows forced : consulted =
     if locked (fun () -> !budget = 0) then `Disabled
     else
-      let key, cells, idx = canonical ~max_nodes db rows forced in
+      let key, cells, idx = canonical db rows forced in
       let found =
         locked (fun () ->
             match Hashtbl.find_opt tbl key with
@@ -442,10 +422,10 @@ module Cache = struct
             | None -> None)
       in
       match found with
-      | Some (S_repaired (prov, changes, vars, mrows, retries)) ->
+      | Some (S_repaired (changes, vars, mrows, retries)) ->
         Obs.Metrics.incr m_hits;
         `Hit
-          { ch_answer = `Repaired (updates_of_changes db cells changes, prov);
+          { ch_answer = `Repaired (updates_of_changes db cells changes);
             ch_vars = vars; ch_milp_rows = mrows; ch_retries = retries }
       | Some (S_infeasible (vars, mrows, retries)) ->
         Obs.Metrics.incr m_hits;
@@ -460,7 +440,7 @@ module Cache = struct
      text, fixed bookkeeping. *)
   let cost_of key = function
     | S_infeasible _ -> String.length key + 96
-    | S_repaired (_, changes, _, _, _) ->
+    | S_repaired (changes, _, _, _) ->
       List.fold_left
         (fun acc (_, v) -> acc + 24 + String.length (Rat.to_string v))
         (String.length key + 96)
@@ -485,11 +465,12 @@ module Cache = struct
         end)
 
   (** Record a freshly solved component under the key {!consult} missed
-      on.  Deadline-cancelled answers are transient and never stored. *)
+      on, if its answer is proven.  An [Infeasible] short of the retry cap
+      was cut off by the deadline before a larger big-M could be tried. *)
   let remember (key, idx) (r : comp_solved) =
     let index_of u = Hashtbl.find idx (Update.cell u) in
     match r with
-    | Ok (repair, prov, enc, _, retries, false) ->
+    | Ok (repair, Exact, enc, _, retries, false) ->
       let changes =
         List.map
           (fun u -> (index_of u, R.Value.to_rat u.Update.new_value))
@@ -497,11 +478,11 @@ module Cache = struct
       in
       insert key
         (S_repaired
-           (prov, changes, Encode.num_vars enc, Encode.num_rows enc, retries))
-    | Error (`Infeasible (enc, _, retries)) ->
+           (changes, Encode.num_vars enc, Encode.num_rows enc, retries))
+    | Error (`Infeasible (enc, _, retries)) when retries >= max_big_m_retries ->
       insert key
         (S_infeasible (Encode.num_vars enc, Encode.num_rows enc, retries))
-    | Ok (_, _, _, _, _, true) | Error (`Budget _) | Error (`Cancelled _) -> ()
+    | Ok _ | Error _ -> ()
 end
 
 let grow_m m = Rat.mul (Rat.of_int 64) m
@@ -627,11 +608,10 @@ let combine_outcomes ~t0 ~forced ~db ~constraints ~ncomps ~rows ~comp_meta
       let sizes = (hit.ch_vars, hit.ch_milp_rows) in
       add_sizes sizes no_work hit.ch_retries;
       (match hit.ch_answer with
-       | `Repaired (repair, prov) ->
-         add_report ~index ~meta ~status:(provenance_to_string prov) ~sizes
+       | `Repaired repair ->
+         add_report ~index ~meta ~status:(provenance_to_string Exact) ~sizes
            ~wk:no_work ~retries:hit.ch_retries;
-         combine (repair :: acc) (degraded || prov <> Exact) metas (index + 1)
-           rest
+         combine (repair :: acc) degraded metas (index + 1) rest
        | `Infeasible ->
          add_report ~index ~meta ~status:"infeasible" ~sizes ~wk:no_work
            ~retries:hit.ch_retries;
@@ -699,7 +679,7 @@ let card_minimal ?(decompose = true) ?(max_nodes = 2_000_000) ?(forced = [])
       let comp_forced = restrict_forced forced comp in
       if rows_satisfied db comp comp_forced then `Satisfied
       else
-        match Cache.consult ~max_nodes db comp comp_forced with
+        match Cache.consult db comp comp_forced with
         | `Hit hit -> `Cached hit
         | (`Disabled | `Miss _) as consulted ->
           `Solved

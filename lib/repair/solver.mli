@@ -115,17 +115,20 @@ val card_minimal :
     mutable state. *)
 
 (** Process-wide bounded LRU cache of per-component solves, keyed by a
-    canonical content hash of the instance (ground rows over dense cell
-    indices, current cell values, integer-domain flags, pins, node
-    budget, coefficient field).  Tuple ids are canonicalized away, so
-    structurally identical sub-instances from different documents share
-    entries.  Only deterministic outcomes are stored (proved optima,
-    budget-truncated incumbents, infeasibility — never deadline-cancelled
-    answers), so a hit is byte-identical to re-solving, and hits
-    contribute zero nodes/pivots to [stats].  It is the only answer reuse
-    across {!card_minimal} calls: the validation loop's and the server
-    sessions' re-solves under a growing pin set hit it for every component
-    the new pins leave untouched.
+    canonical content hash of the instance alone (ground rows over dense
+    cell indices, current cell values, integer-domain flags, pins).
+    Tuple ids are canonicalized away, so structurally identical
+    sub-instances from different documents share entries.  Only proven
+    answers are stored — [Exact] repairs and infeasibility — never
+    budget-truncated incumbents, budget failures or deadline-cancelled
+    answers.  A proven answer does not depend on the node budget that
+    found it, so the budget is not part of the key: a hit is
+    byte-identical to a full-budget solve, a request whose budget
+    brownout cut still gets the cached exact repair, and hits contribute
+    zero nodes/pivots to [stats].  It is the only answer reuse across
+    {!card_minimal} calls: the validation loop's and the server sessions'
+    re-solves under a growing pin set hit it for every component the new
+    pins leave untouched.
 
     Disabled by default ([set_budget_bytes 0]); {!card_minimal} consults
     it when enabled.  Counters:

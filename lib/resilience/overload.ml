@@ -11,6 +11,8 @@
     {!Fair_queue} is {e not} synchronized — its caller (the worker pool)
     already holds a queue mutex. *)
 
+module Obs = Dart_obs.Obs
+
 let default_now () = Unix.gettimeofday ()
 
 (* ------------------------------------------------------------------ *)
@@ -189,8 +191,6 @@ module Controller = struct
   type config = {
     target_queue_wait_ms : float;
     (** queue wait that counts as load 1.0 (full but healthy) *)
-    inflight_target : int;
-    (** inflight depth that counts as load 1.0 *)
     alpha : float;             (** EWMA weight of each new observation *)
     max_level : int;           (** deepest brownout tier *)
     dwell_ms : float;          (** min time between level changes *)
@@ -198,14 +198,15 @@ module Controller = struct
   }
 
   let default_config =
-    { target_queue_wait_ms = 50.0; inflight_target = 16; alpha = 0.3;
-      max_level = 3; dwell_ms = 250.0; base_retry_ms = 100.0 }
+    { target_queue_wait_ms = 50.0; alpha = 0.3; max_level = 3;
+      dwell_ms = 250.0; base_retry_ms = 100.0 }
+
+  let m_changes = Obs.Metrics.counter "server.brownout_changes"
 
   type t = {
     cfg : config;
     now : unit -> float;
     mutable wait_ewma : float;      (* smoothed queue wait, ms *)
-    mutable inflight_ewma : float;  (* smoothed inflight depth *)
     mutable lvl : int;
     mutable changed_at : float;     (* last level transition *)
     mu : Mutex.t;
@@ -216,15 +217,11 @@ module Controller = struct
       invalid_arg "Controller.create: alpha must be in (0, 1]";
     if cfg.max_level < 0 then
       invalid_arg "Controller.create: max_level must be >= 0";
-    { cfg; now; wait_ewma = 0.0; inflight_ewma = 0.0; lvl = 0;
-      changed_at = neg_infinity; mu = Mutex.create () }
+    { cfg; now; wait_ewma = 0.0; lvl = 0; changed_at = neg_infinity;
+      mu = Mutex.create () }
 
   let load_unlocked t =
-    let w = t.wait_ewma /. Float.max 1e-9 t.cfg.target_queue_wait_ms in
-    let i =
-      t.inflight_ewma /. Float.max 1.0 (float_of_int t.cfg.inflight_target)
-    in
-    Float.max w i
+    t.wait_ewma /. Float.max 1e-9 t.cfg.target_queue_wait_ms
 
   (* The ladder: level l is entered at load >= 1 + l (1, 2, 3, ...) and
      left when load drops below 60% of that entry threshold — wide
@@ -233,26 +230,28 @@ module Controller = struct
   let enter_threshold l = float_of_int l
   let exit_threshold l = 0.6 *. enter_threshold l
 
-  let observe t ~queue_wait_ms ~inflight =
+  let observe t ~queue_wait_ms =
     let a = t.cfg.alpha in
     Mutex.lock t.mu;
     t.wait_ewma <- ((1.0 -. a) *. t.wait_ewma) +. (a *. queue_wait_ms);
-    t.inflight_ewma <-
-      ((1.0 -. a) *. t.inflight_ewma) +. (a *. float_of_int inflight);
     let load = load_unlocked t in
     let n = t.now () in
+    let from = t.lvl in
     if (n -. t.changed_at) *. 1000.0 >= t.cfg.dwell_ms then begin
-      let l = t.lvl in
-      if l < t.cfg.max_level && load >= enter_threshold (l + 1) then begin
-        t.lvl <- l + 1;
-        t.changed_at <- n
-      end
-      else if l > 0 && load < exit_threshold l then begin
-        t.lvl <- l - 1;
-        t.changed_at <- n
-      end
+      if from < t.cfg.max_level && load >= enter_threshold (from + 1) then
+        t.lvl <- from + 1
+      else if from > 0 && load < exit_threshold from then t.lvl <- from - 1;
+      if t.lvl <> from then t.changed_at <- n
     end;
-    Mutex.unlock t.mu
+    let to_ = t.lvl and wait = t.wait_ewma in
+    Mutex.unlock t.mu;
+    if to_ <> from then begin
+      Obs.Metrics.incr m_changes;
+      Obs.log Obs.Info "server.brownout"
+        ~attrs:
+          [ ("from", Obs.Int from); ("to", Obs.Int to_);
+            ("queue_wait_ewma_ms", Obs.Float wait) ]
+    end
 
   let load t =
     Mutex.lock t.mu;

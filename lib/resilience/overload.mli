@@ -67,14 +67,15 @@ module Breaker : sig
   (** Cooldown remaining (0 unless Open). *)
 end
 
-(** EWMA load controller: smooths queue-wait and inflight observations
-    into a load factor and maps it onto a brownout level with
-    hysteresis and a dwell time (no flapping at a threshold). *)
+(** EWMA load controller: smooths queue-wait observations into a load
+    factor and maps it onto a brownout level with hysteresis and a dwell
+    time (no flapping at a threshold).  Queue wait is the only load
+    signal: a server whose workers keep up is at level 0 however many
+    requests it holds. *)
 module Controller : sig
   type config = {
     target_queue_wait_ms : float;
     (** queue wait that counts as load 1.0 (full but healthy) *)
-    inflight_target : int;  (** inflight depth that counts as load 1.0 *)
     alpha : float;          (** EWMA weight of each new observation *)
     max_level : int;        (** deepest brownout tier *)
     dwell_ms : float;       (** min time between level changes *)
@@ -88,8 +89,10 @@ module Controller : sig
   val create : ?now:(unit -> float) -> config -> t
   (** @raise Invalid_argument unless [alpha] ∈ (0,1] and [max_level ≥ 0]. *)
 
-  val observe : t -> queue_wait_ms:float -> inflight:int -> unit
-  (** Feed one observation; may move the brownout level one step. *)
+  val observe : t -> queue_wait_ms:float -> unit
+  (** Feed one observation; may move the brownout level one step.  A
+      move counts in [server.brownout_changes] and logs one Info line
+      ([server.brownout]: from/to level, smoothed queue wait). *)
 
   val load : t -> float
   (** Smoothed load factor: 1.0 = at target, above = overloaded. *)

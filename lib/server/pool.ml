@@ -41,6 +41,7 @@ type t = {
   qmu : Mutex.t;
   qcond : Condition.t;            (* signalled on enqueue and on stop *)
   faults : Faultsim.t;            (* injected worker stalls / crashes *)
+  mutable idle : int;             (* workers blocked waiting for a job *)
   mutable stopping : bool;
   mutable workers : unit Domain.t array;
 }
@@ -74,7 +75,9 @@ let worker_loop pool () =
   let rec loop () =
     Mutex.lock pool.qmu;
     while Fair_queue.is_empty pool.queue && not pool.stopping do
-      Condition.wait pool.qcond pool.qmu
+      pool.idle <- pool.idle + 1;
+      Condition.wait pool.qcond pool.qmu;
+      pool.idle <- pool.idle - 1
     done;
     (* On shutdown, drain what is already queued, then exit. *)
     match Fair_queue.pop pool.queue with
@@ -96,7 +99,7 @@ let create ?(faults = Faultsim.none) ~domains ~queue_capacity () =
   let pool =
     { queue = Fair_queue.create (); capacity = queue_capacity;
       qmu = Mutex.create (); qcond = Condition.create (); faults;
-      stopping = false; workers = [||] }
+      idle = 0; stopping = false; workers = [||] }
   in
   pool.workers <-
     Array.init domains (fun _ -> Domain.spawn (fun () -> worker_loop pool ()));
@@ -223,9 +226,15 @@ let map pool f xs =
       | Some _ -> fun x -> Dart_obs.Obs.Trace.with_context ctx (fun () -> f x)
     in
     let futs = List.map (fun x -> future (fun () -> f x)) xs in
-    (* Best effort: offer every item to the pool; refusals stay local and
-       will be claimed inline below. *)
-    List.iter (fun fut -> ignore (try_enqueue pool (Job fut))) futs;
+    (* Best effort: while some worker is idle, offer every item to the
+       pool; refusals stay local and are claimed inline below.  With no
+       idle worker, offered items would only sit queued as dead entries
+       after this caller claims them, filling the queue against client
+       requests (a one-domain server answered [busy]). *)
+    Mutex.lock pool.qmu;
+    let offer = pool.idle > 0 in
+    Mutex.unlock pool.qmu;
+    if offer then List.iter (fun fut -> ignore (try_enqueue pool (Job fut))) futs;
     let results = List.map claim_or_await futs in
     List.map (function Ok v -> v | Error e -> raise e) results
 

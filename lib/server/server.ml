@@ -80,8 +80,6 @@ type config = {
   brownout : bool;                (** tighten per-request solver budgets
                                       as measured load climbs (see
                                       {!Overload.brownout_nodes}) *)
-  target_queue_wait_ms : float;   (** queue wait the load controller
-                                      treats as "full but healthy" *)
   client_rate : float;            (** per-client admissions/s once the
                                       server is browned out (level >= 1) *)
   client_burst : float;           (** per-client token bucket capacity *)
@@ -116,7 +114,7 @@ let default_config ?(scenarios = []) addr =
        against fresh solves (the byte-parity suite) must not see answers
        computed by an earlier test's instance.  The CLI turns it on. *)
     solve_cache_mb = 0; coalesce = true;
-    overload = true; brownout = true; target_queue_wait_ms = 50.0;
+    overload = true; brownout = true;
     client_rate = 50.0; client_burst = 100.0;
     frame_write_timeout_s = 10.0; frame_read_timeout_s = 10.0;
     health_slo = true; slo_availability_target = 0.999;
@@ -268,11 +266,7 @@ let create cfg =
           cfg.data_dir;
       recovery = None;
       flights = Hashtbl.create 8; flights_mu = Mutex.create ();
-      ctrl =
-        Overload.Controller.create
-          { Overload.Controller.default_config with
-            target_queue_wait_ms = cfg.target_queue_wait_ms;
-            inflight_target = 2 * max 1 cfg.domains };
+      ctrl = Overload.Controller.create Overload.Controller.default_config;
       breaker = Overload.Breaker.create ();
       buckets = Hashtbl.create 16; buckets_mu = Mutex.create ();
       svc_mu = Mutex.create (); svc_ewma_ms = 0.0;
@@ -396,9 +390,11 @@ let handle_detect t ~cancel req =
 (* The brownout ladder turns measured load into a per-request node
    budget: full effort at level 0, a pruned tree at 1, incumbent-only at
    2, straight to the greedy tier at 3+.  The quality drop is visible to
-   the client through the existing [provenance] field.  Only stateless
-   [repair] requests brown out; sessions keep the budget they were
-   opened with (an operator mid-validation sees consistent proposals). *)
+   the client through the existing [provenance] field.  The budget only
+   bounds new solves: a component the solve cache holds is answered
+   exactly at any level.  Only stateless [repair] requests brown out;
+   sessions keep the budget they were opened with (an operator
+   mid-validation sees consistent proposals). *)
 let effective_max_nodes t =
   if t.cfg.brownout then
     Overload.brownout_nodes ~max_nodes:t.cfg.max_nodes
@@ -674,10 +670,6 @@ let admission_verdict t req client =
       Some (reason, retry_after_ms)
     in
     let est = estimated_queue_wait_ms t in
-    Overload.Controller.observe t.ctrl ~queue_wait_ms:est
-      ~inflight:(Atomic.get t.inflight);
-    Obs.Metrics.set g_brownout
-      (float_of_int (Overload.Controller.level t.ctrl));
     match req.Proto.deadline_ms with
     | Some d when est > Float.max 0.0 d ->
       (* Queueing is pointless: the backlog alone outlives the deadline.
@@ -732,8 +724,7 @@ let run_on_pool t meta ~client req handler =
         let wait_ms = wait_us /. 1e3 in
         Atomic.set meta.queue_wait_ms (Some wait_ms);
         Obs.Metrics.observe h_queue_wait wait_ms;
-        Overload.Controller.observe t.ctrl ~queue_wait_ms:wait_ms
-          ~inflight:(Atomic.get t.inflight);
+        Overload.Controller.observe t.ctrl ~queue_wait_ms:wait_ms;
         Obs.Metrics.set g_brownout
           (float_of_int (Overload.Controller.level t.ctrl));
         Obs.emit_span "server.queue_wait"

@@ -420,6 +420,67 @@ let cache_tests =
         Alcotest.(check int) "the hits add no branch & bound nodes"
           (List.fold_left (fun acc (_, nodes) -> acc + nodes) 0 solved)
           (Obs.Metrics.value c_nodes - n));
+    t "an exact answer is a hit at any node budget" (fun () ->
+        with_cache 32 @@ fun () ->
+        (* Seed 2 has exactly one violated component. *)
+        let acq = Pipeline.acquire scenario (Test_server.doc 2) in
+        let db = acq.Pipeline.db in
+        let rho, prov, _ = repaired (Solver.card_minimal db constraints) in
+        Alcotest.(check string) "full budget proves it" "exact"
+          (Solver.provenance_to_string prov);
+        let rows = Ground.of_constraints db constraints in
+        List.iter
+          (fun max_nodes ->
+            let sink, events = Obs.memory_sink () in
+            let h = Obs.Metrics.value c_hits in
+            Obs.install sink;
+            let r =
+              Fun.protect
+                ~finally:(fun () -> Obs.uninstall sink)
+                (fun () -> Solver.card_minimal ~max_nodes db constraints)
+            in
+            let rho', prov', _ = repaired r in
+            let at = Printf.sprintf " at max_nodes %d" max_nodes in
+            Alcotest.(check string) ("provenance" ^ at) "exact"
+              (Solver.provenance_to_string prov');
+            Alcotest.(check (list string)) ("same repair" ^ at)
+              (update_strings db rows rho) (update_strings db rows rho');
+            Alcotest.(check int) ("one hit" ^ at) (h + 1)
+              (Obs.Metrics.value c_hits);
+            Alcotest.(check bool) ("no component solved" ^ at) false
+              (List.exists
+                 (function
+                   | Obs.Span { name = "repair.component"; _ } -> true
+                   | _ -> false)
+                 (events ())))
+          [ 200; 0 ]);
+    t "a budget-truncated incumbent is not cached" (fun () ->
+        let db = (Pipeline.acquire scenario (Test_server.doc 2)).Pipeline.db in
+        (* The smallest budget at which branch & bound holds an incumbent
+           it has not proved optimal. *)
+        let rec truncated b =
+          if b > 200 then Alcotest.fail "no budget yields an incumbent"
+          else
+            match Solver.card_minimal ~max_nodes:b db constraints with
+            | Solver.Repaired (_, Solver.Incumbent, _) -> b
+            | _ -> truncated (b + 1)
+        in
+        let max_nodes = truncated 1 in
+        with_cache 32 @@ fun () ->
+        let _, prov, _ =
+          repaired (Solver.card_minimal ~max_nodes db constraints)
+        in
+        Alcotest.(check string) "truncated" "incumbent"
+          (Solver.provenance_to_string prov);
+        Alcotest.(check int) "nothing stored" 0 (Solver.Cache.entries ());
+        let m = Obs.Metrics.value c_misses in
+        let h = Obs.Metrics.value c_hits in
+        let _, prov, _ = repaired (Solver.card_minimal db constraints) in
+        Alcotest.(check int) "the full-budget call misses" (m + 1)
+          (Obs.Metrics.value c_misses);
+        Alcotest.(check int) "and does not hit" h (Obs.Metrics.value c_hits);
+        Alcotest.(check string) "full budget answers exact" "exact"
+          (Solver.provenance_to_string prov));
     t "a full cache evicts within its byte budget" (fun () ->
         with_cache 32 @@ fun () ->
         let solve html =

@@ -152,7 +152,7 @@ let controller_tests =
   let open Overload.Controller in
   let cfg =
     { default_config with
-      target_queue_wait_ms = 10.0; inflight_target = 4; alpha = 0.5;
+      target_queue_wait_ms = 10.0; alpha = 0.5;
       max_level = 3; dwell_ms = 100.0 }
   in
   [ t "load climbs into brownout and drains back out" (fun () ->
@@ -162,7 +162,7 @@ let controller_tests =
         (* Hammer it: queue wait 20x target.  One level step per dwell
            window, so advance past the dwell each time. *)
         for _ = 1 to 10 do
-          observe c ~queue_wait_ms:200.0 ~inflight:0;
+          observe c ~queue_wait_ms:200.0;
           advance 0.15
         done;
         Alcotest.(check bool)
@@ -173,7 +173,7 @@ let controller_tests =
           (retry_after_ms c > default_config.base_retry_ms);
         (* Drain: zero wait decays the EWMA; hysteresis steps back down. *)
         for _ = 1 to 40 do
-          observe c ~queue_wait_ms:0.0 ~inflight:0;
+          observe c ~queue_wait_ms:0.0;
           advance 0.15
         done;
         Alcotest.(check int) "recovered to level 0" 0 (level c));
@@ -182,21 +182,13 @@ let controller_tests =
         let c = create ~now cfg in
         (* Both observations arrive inside one dwell window: at most one
            level change can happen. *)
-        observe c ~queue_wait_ms:500.0 ~inflight:0;
-        observe c ~queue_wait_ms:500.0 ~inflight:0;
+        observe c ~queue_wait_ms:500.0;
+        observe c ~queue_wait_ms:500.0;
         Alcotest.(check bool) "at most one step per dwell" true (level c <= 1);
         advance 0.15;
-        observe c ~queue_wait_ms:500.0 ~inflight:0;
+        observe c ~queue_wait_ms:500.0;
         Alcotest.(check bool) "next dwell allows the next step" true
           (level c >= 1));
-    t "inflight depth alone can raise the level" (fun () ->
-        let now, advance = fake_clock 0.0 in
-        let c = create ~now cfg in
-        for _ = 1 to 8 do
-          observe c ~queue_wait_ms:0.0 ~inflight:40;
-          advance 0.15
-        done;
-        Alcotest.(check bool) "browned out on inflight" true (level c >= 1));
     t "brownout_nodes maps the ladder onto solver budgets" (fun () ->
         let n = Overload.brownout_nodes ~max_nodes:20_000 in
         Alcotest.(check int) "level 0: full budget" 20_000 (n 0);
@@ -305,6 +297,7 @@ let faultsim_tests =
 (* ------------------------------------------------------------------ *)
 
 let m_shed = Obs.Metrics.counter "server.shed"
+let m_brownout_changes = Obs.Metrics.counter "server.brownout_changes"
 let m_slow_closes = Obs.Metrics.counter "server.slow_client_closes"
 let m_coalesced = Obs.Metrics.counter "server.coalesced"
 let m_wal_errors = Obs.Metrics.counter "durable.wal_errors"
@@ -464,7 +457,7 @@ let brownout_tests =
             && Unix.gettimeofday () < deadline
           do
             Overload.Controller.observe srv.Server.ctrl
-              ~queue_wait_ms:wait_ms ~inflight:0;
+              ~queue_wait_ms:wait_ms;
             Thread.delay 0.03
           done;
           Alcotest.(check int) "controller level" target_level
@@ -489,8 +482,8 @@ let brownout_tests =
         Alcotest.(check string) "greedy provenance" "greedy_fallback"
           (Option.value ~default:"?" (Proto.string_field body "provenance"));
         (* Load drains -> budgets restore -> exact answers come back.
-           (admission_verdict also observes, but drive it directly so the
-           test does not depend on traffic.) *)
+           (Each dequeued job also observes its wait, but drive the
+           controller directly so the test does not depend on traffic.) *)
         pump 0;
         Alcotest.(check bool) "full budget restored" true
           (Server.effective_max_nodes srv > 0);
@@ -510,12 +503,63 @@ let brownout_tests =
           Overload.Controller.level srv.Server.ctrl < 3
           && Unix.gettimeofday () < deadline
         do
-          Overload.Controller.observe srv.Server.ctrl ~queue_wait_ms:1e6
-            ~inflight:0;
+          Overload.Controller.observe srv.Server.ctrl ~queue_wait_ms:1e6;
           Thread.delay 0.03
         done;
         Alcotest.(check int) "budget untouched" srv.Server.cfg.Server.max_nodes
-          (Server.effective_max_nodes srv))
+          (Server.effective_max_nodes srv));
+    t "two connections each holding a repair in flight stay at level 0"
+      (fun () ->
+        (* One worker domain, a warm solve cache and two connections that
+           each keep one repair in flight: every pool job stalls 5 ms,
+           so each connection's next request arrives while the other's is
+           still inside [process].  Queue wait stays far under the 50 ms
+           target, so nothing may brown out or shed — holding as many
+           requests as there are connections is not overload. *)
+        with_srv ~cfg_f:(fun c ->
+            { c with
+              Server.domains = 1; solve_cache_mb = 8;
+              faults =
+                Faultsim.create
+                  { Faultsim.disabled with
+                    Faultsim.worker_stall = 1.0; worker_stall_ms = 5.0 } })
+        @@ fun srv addr ->
+        Fun.protect ~finally:(fun () ->
+            Dart_repair.Solver.Cache.set_budget_bytes 0)
+        @@ fun () ->
+        (* Distinct documents, so the two streams never coalesce. *)
+        let docs = [| Test_server.doc 1; Test_server.doc 2 |] in
+        let repair c html =
+          match Client.repair c ~scenario:"cash-budget" ~document:html () with
+          | Ok body -> Proto.string_field body "provenance"
+          | Error e -> Some ("error: " ^ e)
+        in
+        Client.with_connection addr (fun c ->
+            Array.iter (fun html -> ignore (repair c html)) docs);
+        let shed0 = Obs.Metrics.value m_shed in
+        let changes0 = Obs.Metrics.value m_brownout_changes in
+        let answers = Array.make 2 [] in
+        let stream i () =
+          Client.with_connection addr (fun c ->
+              for _ = 1 to 80 do
+                answers.(i) <- repair c docs.(i) :: answers.(i)
+              done)
+        in
+        let other = Thread.create (stream 1) () in
+        stream 0 ();
+        Thread.join other;
+        Array.iteri
+          (fun i a ->
+            Alcotest.(check (list (option string)))
+              (Printf.sprintf "connection %d: every answer exact" i)
+              (List.init 80 (fun _ -> Some "exact"))
+              a)
+          answers;
+        Alcotest.(check int) "brownout level" 0
+          (Overload.Controller.level srv.Server.ctrl);
+        Alcotest.(check int) "no level change" changes0
+          (Obs.Metrics.value m_brownout_changes);
+        Alcotest.(check int) "nothing shed" shed0 (Obs.Metrics.value m_shed))
   ]
 
 let coalesce_deadline_tests =
