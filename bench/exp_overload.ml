@@ -1,5 +1,7 @@
 (* overload — behaviour at 1x/3x/10x offered load, with and without the
-   overload-control layer.
+   overload-control layer: the brownout ladder, which tightens solver
+   budgets as measured queue wait climbs, and the per-client token
+   buckets that shed over-rate clients once the server is browned out.
 
    A small in-process server (2 worker domains, solve cache and
    coalescing off so every request is a real solve) is first measured
@@ -7,8 +9,7 @@
    scaled to 3x and 10x that concurrency; at 10x two slowloris
    attackers (partial frame, then silence) hold connections open for the
    whole run.  Finally 10x is repeated with the overload layer disabled
-   (--no-overload --no-brownout) to document the collapse the layer
-   prevents.
+   (--no-overload) to document the collapse the layer prevents.
 
    Per run we record goodput (useful answers/s), shed/busy/deadline
    counts, latency percentiles of the answered requests, the provenance
@@ -146,7 +147,7 @@ let slowloris_probe path max_wait_s result =
    with Unix.Unix_error _ -> result := `Closed);
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let run_load ~label ~overload ~brownout ~multiplier ~slowloris ~docs
+let run_load ~label ~overload ~multiplier ~slowloris ~docs
     ~duration_s =
   let path =
     Printf.sprintf "/tmp/dart-bench-ovl-%d-%s.sock" (Unix.getpid ()) label
@@ -155,7 +156,7 @@ let run_load ~label ~overload ~brownout ~multiplier ~slowloris ~docs
   let cfg =
     { cfg with
       Server.domains = n_domains; queue_capacity = 32;
-      solve_cache_mb = 0; coalesce = false; overload; brownout;
+      solve_cache_mb = 0; coalesce = false; overload;
       frame_read_timeout_s = 1.0 }
   in
   let srv = Server.create cfg in
@@ -287,7 +288,6 @@ let run_load ~label ~overload ~brownout ~multiplier ~slowloris ~docs
             ("multiplier", Json.Int multiplier);
             ("clients", Json.Int nclients);
             ("overload", Json.Bool overload);
-            ("brownout", Json.Bool brownout);
             ("slowloris_attackers", Json.Int (Array.length slow_results));
             ("duration_s", Json.Float duration_s);
             ("warmup_s", Json.Float warmup_seconds);
@@ -325,24 +325,24 @@ let run () =
   let docs = pick_docs 8 in
   Fun.protect ~finally:(fun () -> Solver.Cache.set_budget_bytes 0) @@ fun () ->
   let j1, good1, p99_1, _, alive1, _ =
-    run_load ~label:"x1" ~overload:true ~brownout:true ~multiplier:1
+    run_load ~label:"x1" ~overload:true ~multiplier:1
       ~slowloris:false ~docs ~duration_s:capacity_seconds
   in
   Printf.printf "  1x:  %.1f good/s, p99 %.0fms\n%!" good1 p99_1;
   let j3, good3, p99_3, _, alive3, _ =
-    run_load ~label:"x3" ~overload:true ~brownout:true ~multiplier:3
+    run_load ~label:"x3" ~overload:true ~multiplier:3
       ~slowloris:false ~docs ~duration_s:run_seconds
   in
   Printf.printf "  3x:  %.1f good/s, p99 %.0fms\n%!" good3 p99_3;
   let j10, good10, p99_10, shed10, alive10, slow_ok =
-    run_load ~label:"x10" ~overload:true ~brownout:true ~multiplier:10
+    run_load ~label:"x10" ~overload:true ~multiplier:10
       ~slowloris:true ~docs ~duration_s:run_seconds
   in
   Printf.printf "  10x: %.1f good/s, p99 %.0fms, %d shed (slowloris closed: %b)\n%!"
     good10 p99_10 shed10 slow_ok;
   let j10_off, good10_off, p99_10_off, _, alive_off, _ =
-    run_load ~label:"x10-no-overload" ~overload:false ~brownout:false
-      ~multiplier:10 ~slowloris:true ~docs ~duration_s:run_seconds
+    run_load ~label:"x10-no-overload" ~overload:false ~multiplier:10
+      ~slowloris:true ~docs ~duration_s:run_seconds
   in
   Printf.printf "  10x (overload off): %.1f good/s, p99 %.0fms\n%!" good10_off
     p99_10_off;

@@ -565,24 +565,16 @@ let serve_cmd =
       value & flag
       & info [ "no-overload" ]
           ~doc:
-            "Disable adaptive admission control (the token-bucket / \
-             circuit-breaker / load-controller layer that sheds doomed or \
-             over-limit work with a retryable $(b,overloaded) error).  The \
-             bounded queue's $(b,busy) backpressure still applies.")
-  in
-  let no_brownout =
-    Arg.(
-      value & flag
-      & info [ "no-brownout" ]
-          ~doc:
-            "Disable brownout: under load the server would otherwise \
-             tighten per-request solver budgets (full effort -> pruned \
-             tree -> incumbent-only -> greedy), trading repair optimality \
-             for latency and recovering when load drains.")
+            "Disable overload control.  Otherwise, as measured queue wait \
+             climbs, the server tightens per-request solver budgets (full \
+             effort -> pruned tree -> incumbent-only -> greedy), recovering \
+             when load drains, and sheds clients over their token-bucket \
+             rate with a retryable $(b,overloaded) error.  The bounded \
+             queue's $(b,busy) backpressure still applies.")
   in
   let run finalize addr domains queue ttl chaos telemetry_port flight_dir
       access_log access_log_max_bytes data_dir wal_shards snapshot_every
-      solve_cache_mb no_overload no_brownout =
+      solve_cache_mb no_overload =
     let cfg = Server.default_config ~scenarios:all_scenarios addr in
     let faults =
       match chaos with
@@ -608,7 +600,7 @@ let serve_cmd =
         snapshot_every =
           Option.value ~default:cfg.Server.snapshot_every snapshot_every;
         solve_cache_mb;
-        overload = not no_overload; brownout = not no_brownout }
+        overload = not no_overload }
     in
     let t = Server.create cfg in
     Server.install_signal_handlers t;
@@ -647,8 +639,7 @@ let serve_cmd =
     Term.(
       const run $ obs_term $ addr_arg $ domains $ queue $ ttl $ chaos
       $ telemetry_port $ flight_dir $ access_log $ access_log_max_bytes
-      $ data_dir $ wal_shards $ snapshot_every $ solve_cache_mb $ no_overload
-      $ no_brownout)
+      $ data_dir $ wal_shards $ snapshot_every $ solve_cache_mb $ no_overload)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

@@ -1,13 +1,13 @@
-(** Overload-control primitives: token bucket, circuit breaker, EWMA
-    load controller with a brownout ladder, and a per-client fair queue.
+(** Overload-control primitives: token bucket, EWMA load controller
+    with a brownout ladder, and a per-client fair queue.
 
     Everything here is policy, not mechanism: the server wires these
     into admission control ([Dart_server.Server]), but each piece is a
     small self-contained state machine with an injectable clock so the
     unit tests can drive it deterministically without sleeping.
 
-    Thread safety: {!Token_bucket} and {!Breaker} and {!Controller} take
-    their own locks (they are touched from every connection thread);
+    Thread safety: {!Token_bucket} and {!Controller} take their own
+    locks (they are touched from every connection thread);
     {!Fair_queue} is {e not} synchronized — its caller (the worker pool)
     already holds a queue mutex. *)
 
@@ -60,130 +60,6 @@ module Token_bucket = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Circuit breaker                                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Breaker = struct
-  type state = Closed | Open | Half_open
-
-  let state_to_string = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half_open"
-
-  type t = {
-    failure_threshold : int;   (* consecutive failures that trip it *)
-    cooldown_s : float;        (* Open -> Half_open delay *)
-    success_threshold : int;   (* Half_open successes that close it *)
-    half_open_probes : int;    (* concurrent probes admitted half-open *)
-    now : unit -> float;
-    mutable st : state;
-    mutable failures : int;    (* consecutive, while Closed *)
-    mutable successes : int;   (* consecutive, while Half_open *)
-    mutable opened_at : float;
-    mutable probes : int;      (* probes admitted since half-opening *)
-    mu : Mutex.t;
-  }
-
-  let create ?(now = default_now) ?(failure_threshold = 5) ?(cooldown_s = 2.0)
-      ?(success_threshold = 2) ?(half_open_probes = 2) () =
-    if failure_threshold < 1 then
-      invalid_arg "Breaker.create: failure_threshold must be >= 1";
-    { failure_threshold; cooldown_s; success_threshold; half_open_probes; now;
-      st = Closed; failures = 0; successes = 0; opened_at = neg_infinity;
-      probes = 0; mu = Mutex.create () }
-
-  let state t =
-    Mutex.lock t.mu;
-    let s = t.st in
-    Mutex.unlock t.mu;
-    s
-
-  (** Ask to admit one request.  Closed: always.  Open: refuse until the
-      cooldown elapses, then half-open and admit.  Half-open: admit only
-      the first [half_open_probes] probes; refuse the rest until a probe
-      reports back. *)
-  let allow t =
-    Mutex.lock t.mu;
-    let admitted =
-      match t.st with
-      | Closed -> true
-      | Open ->
-        if t.now () -. t.opened_at >= t.cooldown_s then begin
-          t.st <- Half_open;
-          t.successes <- 0;
-          t.probes <- 1;
-          true
-        end
-        else false
-      | Half_open ->
-        if t.probes < t.half_open_probes then begin
-          t.probes <- t.probes + 1;
-          true
-        end
-        else false
-    in
-    Mutex.unlock t.mu;
-    admitted
-
-  let success t =
-    Mutex.lock t.mu;
-    (match t.st with
-     | Closed -> t.failures <- 0
-     | Half_open ->
-       t.successes <- t.successes + 1;
-       t.probes <- max 0 (t.probes - 1);
-       if t.successes >= t.success_threshold then begin
-         t.st <- Closed;
-         t.failures <- 0
-       end
-     | Open -> ());
-    Mutex.unlock t.mu
-
-  let failure t =
-    Mutex.lock t.mu;
-    (match t.st with
-     | Closed ->
-       t.failures <- t.failures + 1;
-       if t.failures >= t.failure_threshold then begin
-         t.st <- Open;
-         t.opened_at <- t.now ()
-       end
-     | Half_open ->
-       (* A failed probe re-opens for a fresh cooldown. *)
-       t.st <- Open;
-       t.opened_at <- t.now ()
-     | Open -> ());
-    Mutex.unlock t.mu
-
-  (** Return an admitted probe's slot without counting it as success or
-      failure — for outcomes that say nothing about downstream health
-      (the request was shed after admission, bounced off a full queue,
-      or failed for client-shaped reasons).  Without this, each neutral
-      outcome would leak one of the [half_open_probes] slots and a
-      half-open breaker could wedge refusing everything forever. *)
-  let release t =
-    Mutex.lock t.mu;
-    (match t.st with
-     | Half_open -> t.probes <- max 0 (t.probes - 1)
-     | Closed | Open -> ());
-    Mutex.unlock t.mu
-
-  (** Milliseconds left before the breaker would half-open (0 unless
-      Open) — the [retry_after_ms] hint for a refused request. *)
-  let retry_after_ms t =
-    Mutex.lock t.mu;
-    let ms =
-      match t.st with
-      | Open ->
-        Float.max 0.0 ((t.cooldown_s -. (t.now () -. t.opened_at)) *. 1000.0)
-      | Closed | Half_open -> 0.0
-    in
-    Mutex.unlock t.mu;
-    ms
-end
-
-(* ------------------------------------------------------------------ *)
 (* EWMA load controller / brownout ladder                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -194,12 +70,11 @@ module Controller = struct
     alpha : float;             (** EWMA weight of each new observation *)
     max_level : int;           (** deepest brownout tier *)
     dwell_ms : float;          (** min time between level changes *)
-    base_retry_ms : float;     (** retry hint at load 1.0, scaled up *)
   }
 
   let default_config =
     { target_queue_wait_ms = 50.0; alpha = 0.3; max_level = 3;
-      dwell_ms = 250.0; base_retry_ms = 100.0 }
+      dwell_ms = 250.0 }
 
   let m_changes = Obs.Metrics.counter "server.brownout_changes"
 
@@ -264,14 +139,6 @@ module Controller = struct
     let l = t.lvl in
     Mutex.unlock t.mu;
     l
-
-  (** Retry hint for a shed request: grows with the smoothed load so
-      clients back off harder the deeper the overload. *)
-  let retry_after_ms t =
-    Mutex.lock t.mu;
-    let l = load_unlocked t in
-    Mutex.unlock t.mu;
-    Float.min 5000.0 (t.cfg.base_retry_ms *. Float.max 1.0 l)
 end
 
 (* ------------------------------------------------------------------ *)

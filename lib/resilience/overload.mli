@@ -1,11 +1,11 @@
-(** Overload-control primitives: token bucket, circuit breaker, EWMA
-    load controller with a brownout ladder, and a per-client fair queue.
+(** Overload-control primitives: token bucket, EWMA load controller
+    with a brownout ladder, and a per-client fair queue.
 
     These are the policy pieces behind the server's admission control
     (see DESIGN.md, "Overload & brownout").  Each takes an injectable
     [now] clock so tests drive the state machines deterministically.
 
-    {!Token_bucket}, {!Breaker} and {!Controller} are thread-safe;
+    {!Token_bucket} and {!Controller} are thread-safe;
     {!Fair_queue} expects external synchronization (the worker pool
     calls it under its queue mutex). *)
 
@@ -24,49 +24,6 @@ module Token_bucket : sig
       [retry_after_ms] hint for a shed request. *)
 end
 
-(** Circuit breaker: Closed → (failures ≥ threshold) → Open →
-    (cooldown) → Half-open → (probe successes) → Closed, with a failed
-    probe re-opening for a fresh cooldown. *)
-module Breaker : sig
-  type state = Closed | Open | Half_open
-
-  val state_to_string : state -> string
-
-  type t
-
-  val create :
-    ?now:(unit -> float) ->
-    ?failure_threshold:int ->
-    ?cooldown_s:float ->
-    ?success_threshold:int ->
-    ?half_open_probes:int ->
-    unit ->
-    t
-  (** Defaults: trip after 5 consecutive failures, cool down 2 s,
-      close after 2 probe successes, admit 2 concurrent probes. *)
-
-  val state : t -> state
-
-  val allow : t -> bool
-  (** Ask to admit one request.  May transition Open → Half-open when
-      the cooldown has elapsed.  A [true] from a non-Closed breaker is a
-      probe holding one of the [half_open_probes] slots: every [true]
-      must be answered by exactly one of {!success}, {!failure} or
-      {!release}, else the slot leaks and a half-open breaker wedges. *)
-
-  val success : t -> unit
-  val failure : t -> unit
-
-  val release : t -> unit
-  (** Return an admitted probe's slot without counting it as success or
-      failure — for neutral outcomes (shed after admission, queue-full
-      [busy], client-shaped errors) that say nothing about downstream
-      health. *)
-
-  val retry_after_ms : t -> float
-  (** Cooldown remaining (0 unless Open). *)
-end
-
 (** EWMA load controller: smooths queue-wait observations into a load
     factor and maps it onto a brownout level with hysteresis and a dwell
     time (no flapping at a threshold).  Queue wait is the only load
@@ -79,7 +36,6 @@ module Controller : sig
     alpha : float;          (** EWMA weight of each new observation *)
     max_level : int;        (** deepest brownout tier *)
     dwell_ms : float;       (** min time between level changes *)
-    base_retry_ms : float;  (** retry hint at load 1.0, scaled up *)
   }
 
   val default_config : config
@@ -99,9 +55,6 @@ module Controller : sig
 
   val level : t -> int
   (** Current brownout level, 0 (full effort) .. [max_level]. *)
-
-  val retry_after_ms : t -> float
-  (** Suggested client backoff, growing with the smoothed load. *)
 end
 
 val brownout_nodes : max_nodes:int -> int -> int

@@ -74,12 +74,12 @@ type config = {
                                       (0 disables; see {!Solver.Cache}) *)
   coalesce : bool;                (** single-flight identical in-flight
                                       [detect]/[repair] requests *)
-  overload : bool;                (** adaptive admission control: shed
-                                      doomed/over-limit work with a
+  overload : bool;                (** overload control: as measured
+                                      queue wait climbs, tighten
+                                      per-request solver budgets (see
+                                      {!Overload.brownout_nodes}) and
+                                      shed over-rate clients with a
                                       retryable [overloaded] error *)
-  brownout : bool;                (** tighten per-request solver budgets
-                                      as measured load climbs (see
-                                      {!Overload.brownout_nodes}) *)
   client_rate : float;            (** per-client admissions/s once the
                                       server is browned out (level >= 1) *)
   client_burst : float;           (** per-client token bucket capacity *)
@@ -114,7 +114,7 @@ let default_config ?(scenarios = []) addr =
        against fresh solves (the byte-parity suite) must not see answers
        computed by an earlier test's instance.  The CLI turns it on. *)
     solve_cache_mb = 0; coalesce = true;
-    overload = true; brownout = true;
+    overload = true;
     client_rate = 50.0; client_burst = 100.0;
     frame_write_timeout_s = 10.0; frame_read_timeout_s = 10.0;
     health_slo = true; slo_availability_target = 0.999;
@@ -199,12 +199,8 @@ type t = {
   flights : (string, flight_cell) Hashtbl.t;
   flights_mu : Mutex.t;
   ctrl : Overload.Controller.t;   (* EWMA load -> brownout level *)
-  breaker : Overload.Breaker.t;   (* trips on sustained failure under load *)
   buckets : (string, Overload.Token_bucket.t) Hashtbl.t;
   buckets_mu : Mutex.t;           (* per-client admission buckets *)
-  svc_mu : Mutex.t;
-  mutable svc_ewma_ms : float;    (* smoothed handler service time, for the
-                                     "is this request doomed?" estimate *)
   conn_seq : int Atomic.t;        (* fallback per-connection client ids *)
   stopping : bool Atomic.t;
   active_conns : int Atomic.t;
@@ -267,9 +263,7 @@ let create cfg =
       recovery = None;
       flights = Hashtbl.create 8; flights_mu = Mutex.create ();
       ctrl = Overload.Controller.create Overload.Controller.default_config;
-      breaker = Overload.Breaker.create ();
       buckets = Hashtbl.create 16; buckets_mu = Mutex.create ();
-      svc_mu = Mutex.create (); svc_ewma_ms = 0.0;
       conn_seq = Atomic.make 0;
       stopping = Atomic.make false; active_conns = Atomic.make 0;
       inflight = Atomic.make 0; heartbeat_ms = Atomic.make (Obs.now_ms ());
@@ -307,9 +301,7 @@ let stop t =
 let install_signal_handlers t =
   let handle = Sys.Signal_handle (fun _ -> stop t) in
   Sys.set_signal Sys.sigint handle;
-  Sys.set_signal Sys.sigterm handle;
-  (* A client vanishing mid-write must not kill the process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  Sys.set_signal Sys.sigterm handle
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
@@ -396,7 +388,7 @@ let handle_detect t ~cancel req =
    sessions keep the budget they were opened with (an operator
    mid-validation sees consistent proposals). *)
 let effective_max_nodes t =
-  if t.cfg.brownout then
+  if t.cfg.overload then
     Overload.brownout_nodes ~max_nodes:t.cfg.max_nodes
       (Overload.Controller.level t.ctrl)
   else t.cfg.max_nodes
@@ -573,11 +565,7 @@ let handle_stats t req =
            ("inflight", Json.Int (Atomic.get t.inflight));
            ("sessions", Json.Int (Session.Store.count t.store));
            ("load", Json.Float (Overload.Controller.load t.ctrl));
-           ("brownout_level", Json.Int (Overload.Controller.level t.ctrl));
-           ("breaker",
-            Json.Str
-              (Overload.Breaker.state_to_string
-                 (Overload.Breaker.state t.breaker))) ]);
+           ("brownout_level", Json.Int (Overload.Controller.level t.ctrl)) ]);
       (* Recovery state without grepping logs: the recovered-session
          counter, WAL layout and the latest append failure (if any). *)
       ("durable",
@@ -633,63 +621,26 @@ let client_bucket t client =
   Mutex.unlock t.buckets_mu;
   b
 
-let observe_service_ms t ms =
-  Mutex.lock t.svc_mu;
-  t.svc_ewma_ms <-
-    (if t.svc_ewma_ms = 0.0 then ms else (0.7 *. t.svc_ewma_ms) +. (0.3 *. ms));
-  Mutex.unlock t.svc_mu
-
-(* Expected time a job admitted now would sit queued: the backlog ahead
-   of it, paced by the smoothed service time, spread over the workers. *)
-let estimated_queue_wait_ms t =
-  Mutex.lock t.svc_mu;
-  let svc = t.svc_ewma_ms in
-  Mutex.unlock t.svc_mu;
-  float_of_int (Pool.depth t.pool) *. svc /. float_of_int (Pool.size t.pool)
-
 (* Shed this request before queueing it?  [Some (reason, retry_after_ms)]
-   says yes.  Checked in order of cost: breaker first (one mutex), then
-   the load estimate, then the per-client bucket (only consulted once
-   the server is browned out — at level 0 fairness comes from the
-   round-robin queue alone and no client is ever rate-limited).
-
-   Probe accounting: a [true] from [Breaker.allow] holds a half-open
-   probe slot until exactly one of success/failure/release answers it.
-   A shed decided {e after} the breaker admitted says nothing about
-   downstream health, so those paths release the slot here; [None]
-   hands the held slot to [run_on_pool], which reports the outcome. *)
-let admission_verdict t req client =
-  if not t.cfg.overload then None
-  else if not (Overload.Breaker.allow t.breaker) then
-    Some
-      ( "circuit breaker open",
-        Float.max 1.0 (Overload.Breaker.retry_after_ms t.breaker) )
-  else begin
-    let shed reason retry_after_ms =
-      Overload.Breaker.release t.breaker;
-      Some (reason, retry_after_ms)
-    in
-    let est = estimated_queue_wait_ms t in
-    match req.Proto.deadline_ms with
-    | Some d when est > Float.max 0.0 d ->
-      (* Queueing is pointless: the backlog alone outlives the deadline.
-         Shedding now frees the slot for a request that can still win. *)
-      shed
-        (Printf.sprintf "estimated queue wait %.0fms exceeds deadline" est)
-        (Overload.Controller.retry_after_ms t.ctrl)
-    | _ ->
-      if
-        Overload.Controller.level t.ctrl >= 1
-        && not (Overload.Token_bucket.try_take (client_bucket t client))
-      then
-        shed "client rate limit (brownout)"
-          (Float.max 1.0
-             (Overload.Token_bucket.wait_hint_ms (client_bucket t client)))
-      else None
+   says yes.  At brownout level 0 nothing is shed: fairness comes from
+   the round-robin queue alone and no client is rate-limited.  Once the
+   server is browned out, a client over its token-bucket rate is shed.
+   A request whose deadline the backlog will outlive is not shed here:
+   [Pool.request_cancel] drops it from the queue at its deadline, so it
+   costs no solve time. *)
+let admission_verdict t client =
+  if t.cfg.overload && Overload.Controller.level t.ctrl >= 1 then begin
+    let bucket = client_bucket t client in
+    if Overload.Token_bucket.try_take bucket then None
+    else
+      Some
+        ( "client rate limit (brownout)",
+          Float.max 1.0 (Overload.Token_bucket.wait_hint_ms bucket) )
   end
+  else None
 
 let run_on_pool t meta ~client req handler =
-  match admission_verdict t req client with
+  match admission_verdict t client with
   | Some (reason, retry_after_ms) ->
     Obs.Metrics.incr m_shed;
     Obs.Metrics.set g_retry_after retry_after_ms;
@@ -730,19 +681,11 @@ let run_on_pool t meta ~client req handler =
         Obs.emit_span "server.queue_wait"
           ~attrs:[ ("op", Obs.Str req.Proto.op) ]
           ~start_us:submitted_us ~dur_us:wait_us;
-        let t_run = Obs.now_ms () in
-        let resp =
-          Obs.span "server.worker" ~attrs:[ ("op", Obs.Str req.Proto.op) ]
-            (fun () -> handler t ~cancel req)
-        in
-        observe_service_ms t (Obs.elapsed_ms ~since:t_run);
-        resp)
+        Obs.span "server.worker" ~attrs:[ ("op", Obs.Str req.Proto.op) ]
+          (fun () -> handler t ~cancel req))
   in
   match Pool.try_submit ~cancel ~client t.pool job with
   | None ->
-    (* Queue full is the bounded queue talking, not downstream health:
-       give the admitted probe's slot back without a verdict. *)
-    if t.cfg.overload then Overload.Breaker.release t.breaker;
     Obs.Metrics.incr m_busy;
     Proto.error ?id:req.Proto.id Proto.Busy
       (Printf.sprintf "worker queue full (%d jobs); retry later"
@@ -799,25 +742,7 @@ let run_on_pool t meta ~client req handler =
            Thread.delay 0.0005;
            wait ~grace)
     in
-    let resp = wait ~grace:None in
-    (* Feed the breaker.  A deadline miss only counts as a failure when
-       there was a backlog (an idle server missing a client's tight
-       deadline is the client's choice, not overload); [internal]
-       always does.  Every other outcome — [busy] (the bounded queue
-       already answered it), client-shaped errors like [bad_request],
-       a deadline miss on an empty queue — is neutral: release the
-       probe slot so a half-open breaker can admit a replacement
-       instead of leaking the slot and wedging. *)
-    if t.cfg.overload then begin
-      if Proto.response_ok resp then Overload.Breaker.success t.breaker
-      else
-        match fst (Proto.response_error resp) with
-        | Some "deadline_exceeded" when Pool.depth t.pool > 0 ->
-          Overload.Breaker.failure t.breaker
-        | Some "internal" -> Overload.Breaker.failure t.breaker
-        | _ -> Overload.Breaker.release t.breaker
-    end;
-    resp
+    wait ~grace:None
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight coalescing                                            *)
@@ -1385,8 +1310,7 @@ let accept_loop t fd =
    503); [Degraded] means "watch it" (still ready — shedding load is the
    overload controller's job, not the load balancer's). *)
 let health_check_names =
-  [ "pool"; "breaker"; "brownout"; "sessions"; "wal"; "solve_cache";
-    "telemetry" ]
+  [ "pool"; "brownout"; "sessions"; "wal"; "solve_cache"; "telemetry" ]
 
 let register_health t =
   Health.register "pool" (fun () ->
@@ -1394,14 +1318,6 @@ let register_health t =
       if depth >= t.cfg.queue_capacity then
         Health.Degraded (Printf.sprintf "queue full (depth %d)" depth)
       else Health.Ok);
-  Health.register "breaker" (fun () ->
-      match Overload.Breaker.state t.breaker with
-      | Overload.Breaker.Closed -> Health.Ok
-      | Overload.Breaker.Half_open -> Health.Degraded "probing after trip"
-      | Overload.Breaker.Open ->
-        Health.Failing
-          (Printf.sprintf "open; retry in %.0f ms"
-             (Overload.Breaker.retry_after_ms t.breaker)));
   Health.register "brownout" (fun () ->
       let level = Overload.Controller.level t.ctrl in
       if level > 0 then
@@ -1649,6 +1565,9 @@ let ops_loop t =
 (** Bind and start accepting (non-blocking; see {!wait}). *)
 let start t =
   if t.accept_thread <> None then invalid_arg "Server.start: already started";
+  (* A client vanishing mid-write must not kill the host process, which
+     need not be the CLI (tests and benches embed the server). *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = bind_listener t.cfg in
   t.listen_fd <- Some fd;
   (match t.cfg.telemetry_port with

@@ -1,6 +1,6 @@
 (* Health model and the telemetry HTTP surface: the check registry, the
    /metrics | /healthz | /readyz routing, readiness flips driven by a
-   fake-clock breaker and a failing WAL, flight-dump reason bounding,
+   failing check and a failing WAL, flight-dump reason bounding,
    and the exemplar -> flight-recorder linkage. *)
 
 open Dart_server
@@ -228,56 +228,30 @@ let routing_tests =
 (* ------------------------------------------------------------------ *)
 
 let readyz_tests =
-  [ t "readyz flips 200 -> 503 -> 200 with a fake-clock breaker" (fun () ->
+  [ t "readyz flips 200 -> 503 -> 200 with a failing check" (fun () ->
         with_telemetry (fun _srv _addr host port ->
-            let now = ref 0.0 in
-            let b =
-              Dart_resilience.Overload.Breaker.create ~now:(fun () -> !now)
-                ~failure_threshold:3 ~cooldown_s:2.0 ~success_threshold:2 ()
-            in
+            let failing = ref false in
             Fun.protect
-              ~finally:(fun () -> Health.unregister "test_breaker")
+              ~finally:(fun () -> Health.unregister "test_check")
               (fun () ->
-                Health.register "test_breaker" (fun () ->
-                    match Dart_resilience.Overload.Breaker.state b with
-                    | Dart_resilience.Overload.Breaker.Closed -> Health.Ok
-                    | Dart_resilience.Overload.Breaker.Half_open ->
-                      Health.Degraded "probing"
-                    | Dart_resilience.Overload.Breaker.Open ->
-                      Health.Failing "open");
+                Health.register "test_check" (fun () ->
+                    if !failing then Health.Failing "down" else Health.Ok);
                 let code, _ = ready_status host port in
-                Alcotest.(check int) "ready while closed" 200 code;
-                for _ = 1 to 3 do
-                  Dart_resilience.Overload.Breaker.failure b
-                done;
+                Alcotest.(check int) "ready while ok" 200 code;
+                failing := true;
                 let code, j = ready_status host port in
-                Alcotest.(check int) "open trips readiness" 503 code;
+                Alcotest.(check int) "a failing check trips readiness" 503
+                  code;
                 Alcotest.(check bool) "culprit named" true
-                  (List.mem "test_breaker" (culprit_list j));
-                (* Advance the fake clock past the cooldown; probes admit
-                   and succeed, closing the breaker — no wall clock. *)
-                now := 3000.0;
-                for _ = 1 to 2 do
-                  Alcotest.(check bool) "probe admitted" true
-                    (Dart_resilience.Overload.Breaker.allow b);
-                  Dart_resilience.Overload.Breaker.success b
-                done;
+                  (List.mem "test_check" (culprit_list j));
+                Alcotest.(check (option string)) "aggregate failing"
+                  (Some "failing")
+                  (Proto.string_field j "status");
+                failing := false;
                 let code, j = ready_status host port in
                 Alcotest.(check int) "recovered" 200 code;
                 Alcotest.(check (list string)) "no culprits" []
                   (culprit_list j))));
-    t "the server's own tripped breaker is a readyz culprit" (fun () ->
-        with_telemetry (fun srv _addr host port ->
-            for _ = 1 to 10 do
-              Dart_resilience.Overload.Breaker.failure srv.Server.breaker
-            done;
-            let code, j = ready_status host port in
-            Alcotest.(check int) "503" 503 code;
-            Alcotest.(check bool) "breaker named" true
-              (List.mem "breaker" (culprit_list j));
-            Alcotest.(check (option string)) "aggregate failing"
-              (Some "failing")
-              (Proto.string_field j "status")));
     t "a failing WAL append flips readyz until the disk recovers" (fun () ->
         let data_dir =
           Printf.sprintf "/tmp/dart-health-wal-%d-%d" (Unix.getpid ())

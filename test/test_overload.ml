@@ -1,6 +1,6 @@
 (* Overload-control tests: the resilience primitives (token bucket,
-   breaker, load controller, fair queue) driven with fake clocks, then
-   the server-level behaviours they power — admission shedding, brownout
+   load controller, fair queue) driven with fake clocks, then the
+   server-level behaviours they power — admission shedding, brownout
    degradation, slow-client armor, telemetry scrape robustness, and WAL
    append failures surfacing as retryable errors. *)
 
@@ -68,92 +68,14 @@ let bucket_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Circuit breaker                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let breaker_tests =
-  let open Overload.Breaker in
-  let st = Alcotest.testable
-      (fun fmt s -> Format.pp_print_string fmt (state_to_string s))
-      ( = )
-  in
-  [ t "closed -> open -> half-open -> closed" (fun () ->
-        let now, advance = fake_clock 0.0 in
-        let b =
-          create ~now ~failure_threshold:3 ~cooldown_s:2.0 ~success_threshold:2
-            ~half_open_probes:2 ()
-        in
-        Alcotest.check st "starts closed" Closed (state b);
-        failure b; failure b;
-        Alcotest.check st "below threshold stays closed" Closed (state b);
-        failure b;
-        Alcotest.check st "threshold trips it" Open (state b);
-        Alcotest.(check bool) "open refuses" false (allow b);
-        Alcotest.(check bool) "retry hint while open" true
-          (retry_after_ms b > 0.0);
-        advance 2.5;
-        Alcotest.(check bool) "cooldown elapsed: probe admitted" true (allow b);
-        Alcotest.check st "now half-open" Half_open (state b);
-        success b; success b;
-        Alcotest.check st "probe successes close it" Closed (state b);
-        Alcotest.(check bool) "closed admits freely" true (allow b));
-    t "a failed probe re-opens for a fresh cooldown" (fun () ->
-        let now, advance = fake_clock 0.0 in
-        let b = create ~now ~failure_threshold:1 ~cooldown_s:1.0 () in
-        failure b;
-        Alcotest.check st "open" Open (state b);
-        advance 1.5;
-        Alcotest.(check bool) "probe admitted" true (allow b);
-        failure b;
-        Alcotest.check st "failed probe re-opens" Open (state b);
-        Alcotest.(check bool) "and refuses again" false (allow b);
-        advance 1.5;
-        Alcotest.(check bool) "until a fresh cooldown passes" true (allow b));
-    t "half-open caps concurrent probes" (fun () ->
-        let now, advance = fake_clock 0.0 in
-        let b =
-          create ~now ~failure_threshold:1 ~cooldown_s:1.0 ~half_open_probes:2 ()
-        in
-        failure b;
-        advance 1.5;
-        Alcotest.(check bool) "probe 1" true (allow b);
-        Alcotest.(check bool) "probe 2" true (allow b);
-        Alcotest.(check bool) "probe 3 refused" false (allow b);
-        success b; success b;
-        Alcotest.check st "closed again" Closed (state b));
-    t "neutral outcomes release probe slots instead of leaking them" (fun () ->
-        let now, advance = fake_clock 0.0 in
-        let b =
-          create ~now ~failure_threshold:1 ~cooldown_s:1.0 ~success_threshold:1
-            ~half_open_probes:1 ()
-        in
-        failure b;
-        advance 1.5;
-        Alcotest.(check bool) "probe admitted" true (allow b);
-        Alcotest.(check bool) "slot held: next refused" false (allow b);
-        (* A neutral outcome (post-admission shed, queue-full busy,
-           client-shaped error) must give the slot back... *)
-        release b;
-        Alcotest.check st "still half-open after release" Half_open (state b);
-        Alcotest.(check bool) "replacement probe admitted" true (allow b);
-        release b;
-        (* ...without ever counting toward success_threshold. *)
-        Alcotest.check st "releases alone never close it" Half_open (state b);
-        Alcotest.(check bool) "probe again" true (allow b);
-        success b;
-        Alcotest.check st "a real success closes it" Closed (state b))
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Load controller + brownout ladder                                   *)
 (* ------------------------------------------------------------------ *)
 
 let controller_tests =
   let open Overload.Controller in
   let cfg =
-    { default_config with
-      target_queue_wait_ms = 10.0; alpha = 0.5;
-      max_level = 3; dwell_ms = 100.0 }
+    { target_queue_wait_ms = 10.0; alpha = 0.5; max_level = 3;
+      dwell_ms = 100.0 }
   in
   [ t "load climbs into brownout and drains back out" (fun () ->
         let now, advance = fake_clock 0.0 in
@@ -169,8 +91,6 @@ let controller_tests =
           (Printf.sprintf "load %.1f is overloaded" (load c))
           true (load c > 3.0);
         Alcotest.(check int) "deepest brownout" 3 (level c);
-        Alcotest.(check bool) "retry hint scales with load" true
-          (retry_after_ms c > default_config.base_retry_ms);
         (* Drain: zero wait decays the EWMA; hysteresis steps back down. *)
         for _ = 1 to 40 do
           observe c ~queue_wait_ms:0.0;
@@ -303,7 +223,7 @@ let m_coalesced = Obs.Metrics.counter "server.coalesced"
 let m_wal_errors = Obs.Metrics.counter "durable.wal_errors"
 
 (* Like Test_server.with_server but hands the test the server value too,
-   so it can reach the breaker/controller for deterministic forcing. *)
+   so it can reach the controller for deterministic forcing. *)
 let with_srv ?(cfg_f = fun c -> c) f =
   let path = Test_server.fresh_sock () in
   let addr = Proto.Unix_sock path in
@@ -319,6 +239,30 @@ let with_srv ?(cfg_f = fun c -> c) f =
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () -> f srv addr)
 
+(* Drive the server's controller to [target] by feeding it queue waits
+   far past (or far under) its target, spaced beyond the dwell time. *)
+let pump_level srv target =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let wait_ms = if target > 0 then 1e6 else 0.0 in
+  while
+    Overload.Controller.level srv.Server.ctrl <> target
+    && Unix.gettimeofday () < deadline
+  do
+    Overload.Controller.observe srv.Server.ctrl ~queue_wait_ms:wait_ms;
+    Thread.delay 0.03
+  done;
+  Alcotest.(check int) "controller level" target
+    (Overload.Controller.level srv.Server.ctrl)
+
+(* A one-token bucket that takes a minute to refill: the second request
+   of a client at brownout level >= 1 is over its rate. *)
+let one_token c = { c with Server.client_rate = 1.0 /. 60.0; client_burst = 1.0 }
+
+let repair_req id =
+  Proto.request_to_json ~id:(Json.Int id) ~client:"alice" ~op:"repair"
+    [ ("scenario", Json.Str "cash-budget");
+      ("document", Json.Str (Test_server.doc ~years:1 11)) ]
+
 let roundtrip_raw addr req =
   let fd = Test_server.raw_connect addr in
   Fun.protect
@@ -333,20 +277,14 @@ let roundtrip_raw addr req =
         | Ok j -> j))
 
 let shed_tests =
-  [ t "an open breaker sheds with a retryable overloaded error" (fun () ->
-        with_srv @@ fun srv addr ->
-        (* Trip the breaker directly (the state machine has its own unit
-           tests; here we care about the admission path and wire shape). *)
-        for _ = 1 to 10 do
-          Overload.Breaker.failure srv.Server.breaker
-        done;
+  [ t "an over-rate client at brownout sheds with a retryable overloaded error"
+      (fun () ->
+        with_srv ~cfg_f:one_token @@ fun srv addr ->
+        pump_level srv 1;
         let before = Obs.Metrics.value m_shed in
-        let body =
-          roundtrip_raw addr
-            (Proto.request_to_json ~id:(Json.Int 1) ~op:"repair"
-               [ ("scenario", Json.Str "cash-budget");
-                 ("document", Json.Str (Test_server.doc 1)) ])
-        in
+        Alcotest.(check bool) "the bucket's one token admits" true
+          (Proto.response_ok (roundtrip_raw addr (repair_req 1)));
+        let body = roundtrip_raw addr (repair_req 2) in
         Alcotest.(check string) "code" "overloaded" (Test_server.err_code body);
         (* The error object must carry a machine-readable backoff. *)
         let retry_after =
@@ -359,8 +297,8 @@ let shed_tests =
             | _ -> Alcotest.fail "no retry_after_ms in error")
         in
         Alcotest.(check bool) "retry_after_ms positive" true (retry_after > 0.0);
-        Alcotest.(check bool) "server.shed incremented" true
-          (Obs.Metrics.value m_shed > before);
+        Alcotest.(check int) "server.shed incremented" (before + 1)
+          (Obs.Metrics.value m_shed);
         (* ping skips the pool and must still answer: the server is
            degraded, not down. *)
         Client.with_connection addr @@ fun c ->
@@ -369,58 +307,53 @@ let shed_tests =
          | Error e -> Alcotest.fail ("ping during shed: " ^ e)));
     t "the overloaded error is transient for the retrying client" (fun () ->
         Alcotest.(check bool) "overloaded retries" true
-          (Client.transient_error "overloaded: circuit breaker open");
+          (Client.transient_error "overloaded: client rate limit (brownout)");
         Alcotest.(check bool) "deadline does not" false
           (Client.transient_error "deadline_exceeded: too slow"));
-    t "--no-overload admits everything even with a tripped breaker" (fun () ->
-        with_srv ~cfg_f:(fun c -> { c with Server.overload = false })
+    t "--no-overload admits everything even at brownout level >= 1 with an \
+       empty bucket" (fun () ->
+        with_srv ~cfg_f:(fun c -> { (one_token c) with Server.overload = false })
         @@ fun srv addr ->
-        for _ = 1 to 10 do
-          Overload.Breaker.failure srv.Server.breaker
-        done;
-        Client.with_connection addr @@ fun c ->
-        match Client.repair c ~scenario:"cash-budget"
-                ~document:(Test_server.doc 2) () with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail ("should not shed: " ^ e));
-    t "neutral half-open outcomes do not wedge the breaker" (fun () ->
-        with_srv @@ fun srv addr ->
-        for _ = 1 to 10 do
-          Overload.Breaker.failure srv.Server.breaker
-        done;
-        (* Wait out the default 2s cooldown so the next admissions are
-           half-open probes (default budget: 2 concurrent). *)
-        Thread.delay 2.2;
-        (* Burn more requests than the probe budget on neutral outcomes:
-           an unknown scenario says nothing about downstream health, so
-           each probe must return its slot.  Before the release fix the
-           third request wedged on "circuit breaker open" forever. *)
-        for i = 1 to 5 do
-          let body =
-            roundtrip_raw addr
-              (Proto.request_to_json ~id:(Json.Int i) ~op:"repair"
-                 [ ("scenario", Json.Str "no-such-scenario");
-                   ("document", Json.Str (Test_server.doc 1)) ])
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "neutral request %d admitted, not shed" i)
-            "unknown_scenario" (Test_server.err_code body)
-        done;
-        (* Real successes still have slots to probe with, and close it. *)
-        for i = 1 to 2 do
-          let body =
-            roundtrip_raw addr
-              (Proto.request_to_json ~id:(Json.Int (10 + i)) ~op:"repair"
-                 [ ("scenario", Json.Str "cash-budget");
-                   ("document", Json.Str (Test_server.doc 1)) ])
-          in
+        pump_level srv 1;
+        for i = 1 to 3 do
+          let body = roundtrip_raw addr (repair_req i) in
           Alcotest.(check bool)
-            (Printf.sprintf "probe success %d" i)
+            (Printf.sprintf "request %d admitted" i)
             true (Proto.response_ok body)
-        done;
-        Alcotest.(check string) "real successes close the breaker" "closed"
-          (Overload.Breaker.state_to_string
-             (Overload.Breaker.state srv.Server.breaker)));
+        done);
+    t "a deadline above the measured queue wait is admitted after a cold \
+       solve" (fun () ->
+        (* One worker.  A cold repair takes far longer than the queue wait
+           that follows it; a request queued behind one short job must be
+           judged by its deadline at dequeue, not shed at admission by a
+           backlog estimate scaled by that cold solve. *)
+        with_srv ~cfg_f:(fun c -> { c with Server.domains = 1 })
+        @@ fun srv addr ->
+        let t0 = Unix.gettimeofday () in
+        Alcotest.(check bool) "cold repair" true
+          (Proto.response_ok
+             (roundtrip_raw addr
+                (Proto.request_to_json ~id:(Json.Int 1) ~op:"repair"
+                   [ ("scenario", Json.Str "cash-budget");
+                     ("document", Json.Str (Test_server.doc ~years:8 5)) ])));
+        let cold_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        (* The worker holds a 20 ms job; one cheap job queues behind it. *)
+        let submit f = Option.get (Pool.try_submit srv.Server.pool f) in
+        let busy = submit (fun () -> Thread.delay 0.02; Proto.ok []) in
+        let cheap = submit (fun () -> Proto.ok []) in
+        let deadline_ms = Float.max 150.0 (cold_ms /. 3.0) in
+        let body =
+          roundtrip_raw addr
+            (Proto.request_to_json ~id:(Json.Int 2) ~deadline_ms ~op:"repair"
+               [ ("scenario", Json.Str "cash-budget");
+                 ("document", Json.Str (Test_server.doc ~years:1 11)) ])
+        in
+        ignore (Pool.await busy);
+        ignore (Pool.await cheap);
+        Alcotest.(check bool)
+          (Printf.sprintf "answered within %.0f ms (cold repair %.0f ms): %s"
+             deadline_ms cold_ms (Json.to_string body))
+          true (Proto.response_ok body));
     t "the synthetic conn- namespace is reserved on the wire" (fun () ->
         (* A client declaring another anonymous connection's synthetic id
            ("conn-<n>", server.ml) must not be able to share its
@@ -447,23 +380,7 @@ let shed_tests =
 let brownout_tests =
   [ t "deep brownout answers with the greedy tier, then recovers" (fun () ->
         with_srv @@ fun srv addr ->
-        (* Force the controller to its deepest level: hammer it with
-           observations far past target, spaced beyond the dwell. *)
-        let pump target_level =
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          let wait_ms = if target_level > 0 then 1e6 else 0.0 in
-          while
-            Overload.Controller.level srv.Server.ctrl <> target_level
-            && Unix.gettimeofday () < deadline
-          do
-            Overload.Controller.observe srv.Server.ctrl
-              ~queue_wait_ms:wait_ms;
-            Thread.delay 0.03
-          done;
-          Alcotest.(check int) "controller level" target_level
-            (Overload.Controller.level srv.Server.ctrl)
-        in
-        pump 3;
+        pump_level srv 3;
         Alcotest.(check int) "greedy node budget at level 3" 0
           (Server.effective_max_nodes srv);
         (* One noisy doc (seed 1 has violations and a greedy-reachable
@@ -484,7 +401,7 @@ let brownout_tests =
         (* Load drains -> budgets restore -> exact answers come back.
            (Each dequeued job also observes its wait, but drive the
            controller directly so the test does not depend on traffic.) *)
-        pump 0;
+        pump_level srv 0;
         Alcotest.(check bool) "full budget restored" true
           (Server.effective_max_nodes srv > 0);
         let body =
@@ -495,17 +412,10 @@ let brownout_tests =
         in
         Alcotest.(check string) "exact again" "exact"
           (Option.value ~default:"?" (Proto.string_field body "provenance")));
-    t "--no-brownout keeps the full budget at any level" (fun () ->
-        with_srv ~cfg_f:(fun c -> { c with Server.brownout = false })
+    t "--no-overload keeps the full budget at any level" (fun () ->
+        with_srv ~cfg_f:(fun c -> { c with Server.overload = false })
         @@ fun srv _addr ->
-        let deadline = Unix.gettimeofday () +. 10.0 in
-        while
-          Overload.Controller.level srv.Server.ctrl < 3
-          && Unix.gettimeofday () < deadline
-        do
-          Overload.Controller.observe srv.Server.ctrl ~queue_wait_ms:1e6;
-          Thread.delay 0.03
-        done;
+        pump_level srv 3;
         Alcotest.(check int) "budget untouched" srv.Server.cfg.Server.max_nodes
           (Server.effective_max_nodes srv));
     t "two connections each holding a repair in flight stay at level 0"
@@ -810,7 +720,7 @@ let wal_tests =
   ]
 
 let suite =
-  bucket_tests @ breaker_tests @ controller_tests
+  bucket_tests @ controller_tests
   @ [ Qcheck_util.to_alcotest fair_queue_starvation;
       Qcheck_util.to_alcotest fair_queue_fifo ]
   @ faultsim_tests @ shed_tests @ brownout_tests @ coalesce_deadline_tests

@@ -701,6 +701,33 @@ let pool_map_tests =
             Alcotest.(check int) "queue depth inside the worker" 0 depth))
   ]
 
+(* Listed after [pool_map_tests] for the same reason. *)
+let sigpipe_tests =
+  [ t "a peer that closes before its reply does not kill the host process"
+      (fun () ->
+        (* An embedding process need not ignore SIGPIPE itself: with the
+           default action, a reply written to the vanished peer would
+           terminate this test runner. *)
+        let previous = Sys.signal Sys.sigpipe Sys.Signal_default in
+        Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+        @@ fun () ->
+        with_server ~domains:1 @@ fun addr ->
+        let fd = raw_connect addr in
+        Frame.write fd
+          (Json.to_string
+             (Proto.request_to_json ~id:(Json.Int 1) ~op:"repair"
+                [ ("scenario", Json.Str "cash-budget");
+                  ("document", Json.Str (doc 4242)) ]));
+        Unix.shutdown fd Unix.SHUTDOWN_ALL;
+        Unix.close fd;
+        (* Give the worker time to finish and answer into the closed
+           socket. *)
+        Thread.delay 0.5;
+        Client.with_connection addr (fun c ->
+            Alcotest.(check bool) "pong on a fresh connection" true
+              (Client.ping c = Ok ())))
+  ]
+
 let suite =
   frame_tests @ pool_tests @ robustness_tests @ parity_tests @ store_tests
-  @ session_tests @ access_log_tests @ pool_map_tests
+  @ session_tests @ access_log_tests @ pool_map_tests @ sigpipe_tests
