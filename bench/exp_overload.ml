@@ -5,7 +5,9 @@
 
    A small in-process server (2 worker domains, solve cache and
    coalescing off so every request is a real solve) is first measured
-   closed-loop at its natural capacity (1x).  Then the client pool is
+   closed-loop at its natural capacity (1x), [capacity_runs] times: the
+   gate ratios divide by the median 1x goodput and p99, because a single
+   4 s run moves by about 20% on its own.  Then the client pool is
    scaled to 3x and 10x that concurrency; at 10x two slowloris
    attackers (partial frame, then silence) hold connections open for the
    whole run.  Finally 10x is repeated with the overload layer disabled
@@ -38,6 +40,7 @@ let scenario = Budget_scenario.scenario
 let base_clients = 4            (* closed-loop concurrency at 1x *)
 let run_seconds = 6.0
 let capacity_seconds = 4.0
+let capacity_runs = 3
 let warmup_seconds = 2.0        (* let the controller settle before measuring *)
 let deadline_ms = 2000.0
 let pace_s = 0.005              (* tiny think time so sheds don't spin *)
@@ -324,11 +327,26 @@ let run () =
     out_file;
   let docs = pick_docs 8 in
   Fun.protect ~finally:(fun () -> Solver.Cache.set_budget_bytes 0) @@ fun () ->
-  let j1, good1, p99_1, _, alive1, _ =
-    run_load ~label:"x1" ~overload:true ~multiplier:1
-      ~slowloris:false ~docs ~duration_s:capacity_seconds
+  let x1_runs =
+    List.init capacity_runs (fun i ->
+        let ((_, good, p99, _, _, _) as r) =
+          run_load ~label:(Printf.sprintf "x1-%d" i) ~overload:true
+            ~multiplier:1 ~slowloris:false ~docs ~duration_s:capacity_seconds
+        in
+        Printf.printf "  1x (run %d):  %.1f good/s, p99 %.0fms\n%!" i good p99;
+        r)
   in
-  Printf.printf "  1x:  %.1f good/s, p99 %.0fms\n%!" good1 p99_1;
+  let median_of f = Report.median (List.map f x1_runs) in
+  let good1 = median_of (fun (_, g, _, _, _, _) -> g) in
+  let p99_1 = median_of (fun (_, _, p, _, _, _) -> p) in
+  (* [x1] is the run with the median goodput ([capacity_runs] is odd, so
+     that is one run's), so the CI's check of 10x goodput against [x1]
+     uses the same denominator as the ratios. *)
+  let j1, _, _, _, _, _ =
+    List.find (fun (_, g, _, _, _, _) -> g = good1) x1_runs
+  in
+  let alive1 = List.for_all (fun (_, _, _, _, a, _) -> a) x1_runs in
+  Printf.printf "  1x median: %.1f good/s, p99 %.0fms\n%!" good1 p99_1;
   let j3, good3, p99_3, _, alive3, _ =
     run_load ~label:"x3" ~overload:true ~multiplier:3
       ~slowloris:false ~docs ~duration_s:run_seconds
@@ -358,6 +376,9 @@ let run () =
              ("solve_cache", Json.Bool false);
              ("coalesce", Json.Bool false) ]);
         ("x1", j1);
+        ("x1_runs", Json.List (List.map (fun (j, _, _, _, _, _) -> j) x1_runs));
+        ("x1_goodput_median_rps", Json.Float good1);
+        ("x1_p99_median_ms", Json.Float p99_1);
         ("x3", j3);
         ("x10", j10);
         ("x10_no_overload", j10_off);

@@ -28,7 +28,6 @@ let experiments =
     ("serve2", Exp_serve2.run);
     ("fault", Exp_fault.run);
     ("overload", Exp_overload.run);
-    ("simplex", Exp_simplex.run);
     ("slo", Exp_slo.run);
     ("score", Exp_score.run);
     ("micro", Micro.run) ]

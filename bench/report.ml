@@ -49,6 +49,13 @@ let time f =
 
 let note text = Printf.printf "%s\n" text
 
+(* Median of a non-empty list (the mean of the middle two when even). *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
 (* ------------------------------------------------------------------ *)
 (* Scoreboard diffing (bench/main.exe -- diff BASE CURRENT)            *)
 (* ------------------------------------------------------------------ *)

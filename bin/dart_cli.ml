@@ -54,31 +54,12 @@ let metrics_out_arg =
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:"Dump the metrics registry (counters, gauges, histograms) as JSON to $(docv).")
 
-let lp_core_arg =
-  let parse s =
-    match Dart_lp.Simplex.core_of_string s with
-    | Some c -> Ok c
-    | None -> Error (`Msg (Printf.sprintf "unknown LP core %S (dense, sparse or auto)" s))
-  in
-  let print fmt c = Format.pp_print_string fmt (Dart_lp.Simplex.core_to_string c) in
-  Arg.(
-    value
-    & opt (some (conv (parse, print))) None
-    & info [ "lp-core" ] ~docv:"CORE"
-        ~doc:
-          "Simplex core for every LP solve: $(b,sparse) (revised simplex, the \
-           default), $(b,dense) (two-phase tableau — the ablation baseline), or \
-           $(b,auto) (dense for tiny instances, sparse otherwise).")
-
 (* Installs the requested sinks and returns an idempotent finalizer that
    closes them (finalizing the Chrome trace's JSON array) and writes the
    metrics snapshot.  Long-running commands (serve) call it explicitly on
    their graceful-drain path so telemetry survives SIGINT/SIGTERM; an
    [at_exit] backstop covers one-shot commands and [exit 1] paths. *)
-let obs_setup log_level trace_out metrics_out lp_core =
-  (match lp_core with
-   | Some c -> Dart_lp.Simplex.set_default_core c
-   | None -> ());
+let obs_setup log_level trace_out metrics_out =
   (* Fail fast with a clean message on unwritable output paths, rather than
      crashing (--trace-out) or silently losing the snapshot at exit
      (--metrics-out). *)
@@ -118,7 +99,7 @@ let obs_setup log_level trace_out metrics_out lp_core =
   finalize
 
 let obs_term =
-  Term.(const obs_setup $ log_level_arg $ trace_out_arg $ metrics_out_arg $ lp_core_arg)
+  Term.(const obs_setup $ log_level_arg $ trace_out_arg $ metrics_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)

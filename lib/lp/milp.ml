@@ -14,7 +14,10 @@
     rows untouched, so each child re-solves warm from its parent's optimal
     basis ({!Simplex.Make.solve_warm}): a short dual-simplex phase instead
     of two cold phases.  A stalled dual phase falls back to a cold solve
-    (counted in [warm_fallbacks]), so warm starts never change the answer. *)
+    (counted in [warm_fallbacks]), so warm starts never change the answer.
+
+    The tests compare this search against the cold depth-first dense
+    tableau B&B in [test/lp_oracle.ml]. *)
 
 module Obs = Dart_obs.Obs
 module Cancel = Dart_resilience.Cancel
@@ -57,8 +60,10 @@ module Make (F : Field.S) = struct
                                [status]/[assignment] reflect the best incumbent
                                found before the abort *)
     phases : Obs.Phases.t;
-        (** wall-clock attribution summed over every node relaxation
-            (simplex ["phase1"]/["phase2"]/["dual"]/["snapshot"]) *)
+        (** exclusive wall-clock attribution summed over every node
+            relaxation (simplex ["phase1"]/["phase2"]/["dual"]/["snapshot"]
+            and ["setup"], and the kernels
+            ["factor"]/["ftran"]/["btran"]/["price"]) *)
     node_log : node_event list;
         (** bounded, decimated sample of the search (exploration order);
             incumbent-improving nodes are always offered with [force] so
@@ -86,7 +91,7 @@ module Make (F : Field.S) = struct
   let min_compare a b = if F.compare a b <= 0 then a else b
 
   let solve ?(max_nodes = 1_000_000) ?(integral_objective = false)
-      ?(cancel = Cancel.none) ?(warm = true) ?core (p : P.t)
+      ?(cancel = Cancel.none) ?(warm = true) (p : P.t)
       : outcome =
     Obs.span "milp.solve"
       ~attrs:[ ("vars", Obs.Int (P.num_vars p)) ]
@@ -138,7 +143,7 @@ module Make (F : Field.S) = struct
     let q = P.copy p in
     let relax ~from =
       if warm then begin
-        let w = S.solve_warm ~cancel ?from ?core q in
+        let w = S.solve_warm ~cancel ?from q in
         pivots := !pivots + w.S.stats.S.pivots;
         dual_pivots := !dual_pivots + w.S.stats.S.dual_pivots;
         Obs.Phases.merge_into ~dst:phases w.S.stats.S.phases;
@@ -147,7 +152,7 @@ module Make (F : Field.S) = struct
         (w.S.result, w.S.snapshot)
       end
       else begin
-        let result, st = S.solve_stats ~cancel ?core q in
+        let result, st = S.solve_stats ~cancel q in
         pivots := !pivots + st.S.pivots;
         Obs.Phases.merge_into ~dst:phases st.S.phases;
         (result, None)

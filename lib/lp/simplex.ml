@@ -1,54 +1,28 @@
-(** Simplex over an arbitrary ordered field, with warm restarts and two
-    interchangeable cores.
+(** Revised simplex over an arbitrary ordered field, with warm restarts.
 
-    The {b dense} core is the classic two-phase full-tableau method with
-    Bland's anti-cycling rule: every pivot touches every column, which is
-    simple, exact and fine for small instances.
+    Constraint columns live in a {!Sparse_mat} (CSC), the basis is
+    factorized as LU in product form by {!Basis_lu} (an eta file with
+    Markowitz-style pivot selection, refactorized every K update etas or
+    when the residual ‖B·x_B − b‖ drifts), pricing is devex over
+    partial-pricing column blocks with an automatic fallback to Bland's
+    rule once a stall/cycling heuristic trips (so anti-cycling stays
+    guaranteed), and each iteration costs O(nnz) instead of O(m·n).
 
-    The {b sparse} core (the default) is a revised simplex: constraint
-    columns live in a {!Sparse_mat} (CSC), the basis is factorized as LU in
-    product form by {!Basis_lu} (an eta file with Markowitz-style pivot
-    selection, refactorized every K update etas or when the residual
-    ‖B·x_B − b‖ drifts), pricing is devex over partial-pricing column
-    blocks with an automatic fallback to Bland's rule once a stall/cycling
-    heuristic trips (so anti-cycling stays guaranteed), and each iteration
-    costs O(nnz) instead of O(m·n).
-
-    Both cores sit behind the same field-generic interface: pluggable
-    float/rational field, cooperative cancellation polling, snapshot
-    warm-starts with a bounded dual-simplex repair phase for appended
-    [<=]/[>=] rows, and per-phase wall-clock attribution.  A snapshot
-    carries the core that produced it, so a warm start always replays on
-    the matching machinery; any structural mismatch silently falls back to
-    a cold solve — a stale snapshot can cost time but never correctness.
-    The sparse core additionally falls back to the dense core when the
-    factorization signals numerical trouble (singular or irreducible
-    residual under an inexact field), and [Auto] picks dense outright for
-    tiny instances where the revised machinery is pure overhead. *)
+    Around that core: a pluggable float/rational field, cooperative
+    cancellation polling, snapshot warm-starts with a bounded dual-simplex
+    repair phase for appended [<=]/[>=] rows, and per-phase wall-clock
+    attribution.  Any structural mismatch between a snapshot and the
+    problem silently falls back to a cold solve — a stale snapshot can
+    cost time but never correctness.  A cold solve whose factorization
+    loses the basis raises {!Make.Numerical_trouble} or
+    {!Basis_lu.Make.Singular}; only an inexact field can: exact rationals
+    never drift.  The tests compare this core against the dense tableau
+    oracle in [test/lp_oracle.ml]. *)
 
 module Obs = Dart_obs.Obs
 module Cancel = Dart_resilience.Cancel
 
-(** Which simplex engine to run.  [Auto] resolves per problem: dense below
-    {!tuning}[.auto_dense_rows] constraint rows, sparse above. *)
-type core = Dense | Sparse | Auto
-
-let core_to_string = function
-  | Dense -> "dense"
-  | Sparse -> "sparse"
-  | Auto -> "auto"
-
-let core_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "auto" -> Some Auto
-  | _ -> None
-
-let default_core_ref = ref Sparse
-let default_core () = !default_core_ref
-let set_default_core c = default_core_ref := c
-
-(** Sparse-core policy knobs, shared across all field instantiations.
+(** Simplex policy knobs, shared across all field instantiations.
     Mutable so tests and ablations can pin behaviours (e.g. a negative
     [drift_tol] forces a refactorization at every drift check; a zero
     [stall_threshold] trips the Bland fallback on the first degenerate
@@ -64,16 +38,14 @@ type tuning = {
       (** consecutive degenerate pivots before devex falls back to Bland *)
   mutable partial_block : int;
       (** column-block width for partial pricing *)
-  mutable auto_dense_rows : int;
-      (** [Auto] uses the dense core at or below this many constraint rows *)
 }
 
 let tuning =
   { refactor_every = 64; drift_check_every = 16; drift_tol = 1e-6;
-    stall_threshold = 20; partial_block = 128; auto_dense_rows = 16 }
+    stall_threshold = 20; partial_block = 128 }
 
 (* Residual (relative) beyond which a *fresh* factorization is declared
-   numerically hopeless and the solve falls back to the dense core. *)
+   numerically hopeless: the solve raises [Numerical_trouble]. *)
 let trouble_tol = 1e-3
 
 module Make (F : Field.S) = struct
@@ -88,19 +60,22 @@ module Make (F : Field.S) = struct
   (** Effort counters for one [solve] call (satellite of the dart_obs PR:
       solver work must be measurable, not silent).  [phases] attributes the
       wall-clock time of the same call across the outer phases ["phase1"],
-      ["phase2"], ["dual"] and ["snapshot"], and — on the sparse core —
-      the inner kernels ["factor"], ["ftran"], ["btran"] and ["price"], so
-      a profile can say not just how many pivots were spent but {e where}
-      the microseconds went. *)
+      ["phase2"], ["dual"] and ["snapshot"], the inner kernels
+      ["factor"], ["ftran"], ["btran"] and ["price"], and ["setup"] (the
+      rest: standard-form assembly, snapshot checks, solution decoding),
+      so a profile can say not just how many pivots were spent but
+      {e where} the microseconds went.  Phase times are exclusive: an
+      outer phase's share excludes the phases timed inside it, so the
+      shares add up to the solve's wall clock. *)
   type stats = {
     mutable pivots : int;         (** total pivot operations, all phases *)
     mutable phase1_pivots : int;  (** pivots spent reaching feasibility *)
     mutable phase2_pivots : int;  (** pivots spent optimizing *)
     mutable dual_pivots : int;    (** pivots spent repairing primal
                                       feasibility after a warm restart *)
-    mutable refactorizations : int; (** sparse-core basis refactorizations *)
+    mutable refactorizations : int; (** basis refactorizations *)
     mutable bland_fallbacks : int;  (** devex→Bland anti-cycling trips *)
-    mutable eta_peak : int;         (** peak eta-file length (sparse) *)
+    mutable eta_peak : int;         (** peak eta-file length *)
     mutable factor_nnz : int;       (** off-pivot nnz of the last
                                         refactorization (fill-in gauge) *)
     phases : Obs.Phases.t;        (** per-phase wall-clock attribution *)
@@ -119,6 +94,7 @@ module Make (F : Field.S) = struct
   let phase_ftran = "ftran"
   let phase_btran = "btran"
   let phase_price = "price"
+  let phase_setup = "setup"
 
   let m_solves = Obs.Metrics.counter "lp.simplex.solves"
   let m_pivots = Obs.Metrics.counter "lp.simplex.pivots"
@@ -126,7 +102,6 @@ module Make (F : Field.S) = struct
   let m_dual_pivots = Obs.Metrics.counter "lp.simplex.dual_pivots"
   let m_refactorizations = Obs.Metrics.counter "lp.simplex.refactorizations"
   let m_bland_fallbacks = Obs.Metrics.counter "lp.simplex.bland_fallbacks"
-  let m_dense_fallbacks = Obs.Metrics.counter "lp.simplex.dense_fallbacks"
 
   (* Phase-time histograms (milliseconds, one observation per solve that
      ran the phase).  These flow through [Obs.Metrics.snapshot] and the
@@ -160,31 +135,11 @@ module Make (F : Field.S) = struct
     | Reflected of int * F.t      (* x = hi - u *)
     | Split of int * int          (* x = u_pos - u_neg *)
 
-  type tableau = {
-    mutable rows : F.t array array; (* m rows, each of length ncols + 1 (rhs last) *)
-    mutable basis : int array;      (* basic variable of each row *)
-    obj : F.t array;                (* reduced-cost row, length ncols + 1 *)
-    ncols : int;
-    is_artificial : bool array;     (* per-column artificial flag; artificials
-                                       never (re-)enter the basis in phase 2
-                                       or in the dual phase *)
-  }
-
-  (** Dense final state: the full tableau, ready to be widened by appended
-      rows. *)
-  type dense_state = {
-    d_rows : F.t array array;
-    d_obj : F.t array;
-    d_basis : int array;
-    d_is_artificial : bool array;
-    d_ncols : int;
-  }
-
-  (** Sparse final state: the basis header plus the captured basic values
-      and reduced costs (enough to check the warm-start invariants without
-      refactorizing; the warm path refactorizes and recomputes both
-      exactly anyway). *)
-  type sparse_state = {
+  (** Final basis of a solve: the basis header plus the captured basic
+      values and reduced costs (enough to check the warm-start invariants
+      without refactorizing; the warm path refactorizes and recomputes
+      both exactly anyway). *)
+  type basis_state = {
     z_basis : int array;          (* row slot -> basic column *)
     z_nstd : int;
     z_ncols : int;                (* full extended width (= |z_dj|) *)
@@ -194,8 +149,6 @@ module Make (F : Field.S) = struct
     z_xb : F.t array;             (* basic values by row slot *)
     z_dj : F.t array;             (* reduced costs at capture *)
   }
-
-  type basis_state = Dense_basis of dense_state | Sparse_basis of sparse_state
 
   (** The final state of an optimal solve, sufficient to warm-start a
       re-solve of the same problem extended by appended inequality rows.
@@ -212,163 +165,6 @@ module Make (F : Field.S) = struct
     s_encodings : encoding array;
     s_state : basis_state;
   }
-
-  (** Which core produced a snapshot (a warm start replays on the same
-      core). *)
-  let snapshot_core (s : snapshot) =
-    match s.s_state with Dense_basis _ -> Dense | Sparse_basis _ -> Sparse
-
-  let snapshot_rows (s : snapshot) =
-    match s.s_state with
-    | Dense_basis d -> Array.length d.d_rows
-    | Sparse_basis z -> Array.length z.z_basis
-
-  (* ------------------------------------------------------------------ *)
-  (* Dense tableau machinery                                             *)
-  (* ------------------------------------------------------------------ *)
-
-  let pivot t ~row ~col =
-    let r = t.rows.(row) in
-    let piv = r.(col) in
-    let n = t.ncols in
-    for j = 0 to n do
-      if not (F.is_zero r.(j)) then r.(j) <- F.div r.(j) piv
-    done;
-    r.(col) <- F.one;
-    let eliminate (other : F.t array) =
-      let factor = other.(col) in
-      if not (F.is_zero factor) then begin
-        for j = 0 to n do
-          if not (F.is_zero r.(j)) then other.(j) <- F.sub other.(j) (F.mul factor r.(j))
-        done;
-        other.(col) <- F.zero
-      end
-    in
-    Array.iteri (fun i other -> if i <> row then eliminate other) t.rows;
-    eliminate t.obj;
-    t.basis.(row) <- col
-
-  (* Bland's rule: entering = lowest-index column with negative reduced cost
-     (artificials are never allowed to re-enter once phase 1 is done). *)
-  let entering_column t ~allow_artificial =
-    let rec go j =
-      if j >= t.ncols then None
-      else if (allow_artificial || not t.is_artificial.(j))
-              && F.compare t.obj.(j) F.zero < 0 then Some j
-      else go (j + 1)
-    in
-    go 0
-
-  let leaving_row t ~col =
-    let m = Array.length t.rows in
-    let best = ref None in
-    for i = 0 to m - 1 do
-      let a = t.rows.(i).(col) in
-      if F.compare a F.zero > 0 then begin
-        let ratio = F.div t.rows.(i).(t.ncols) a in
-        match !best with
-        | None -> best := Some (i, ratio)
-        | Some (bi, bratio) ->
-          let c = F.compare ratio bratio in
-          (* Tie-break on the basic variable index (Bland). *)
-          if c < 0 || (c = 0 && t.basis.(i) < t.basis.(bi)) then best := Some (i, ratio)
-      end
-    done;
-    Option.map fst !best
-
-  type iterate_outcome = Finished | Unbounded_direction
-
-  (* Cancellation is polled every 64 pivots: cheap enough to be free on
-     the small LPs, frequent enough that a deadline aborts a pathological
-     tableau within milliseconds. *)
-  (* Poll every 16 pivots: at large sizes one dense pivot is O(m*n) work,
-     so a coarser mask lets a cancelled solve overshoot its deadline by
-     whole seconds; the check itself is a few loads. *)
-  let cancel_poll_mask = 15
-
-  let rec iterate t ~allow_artificial ~pivots ~cancel =
-    match entering_column t ~allow_artificial with
-    | None -> Finished
-    | Some col ->
-      (match leaving_row t ~col with
-       | None -> Unbounded_direction
-       | Some row ->
-         pivot t ~row ~col;
-         incr pivots;
-         if !pivots land cancel_poll_mask = 0 then Cancel.check cancel;
-         iterate t ~allow_artificial ~pivots ~cancel)
-
-  (* Dual simplex: starting from a dual-feasible tableau (all non-artificial
-     reduced costs >= 0) with some negative rhs entries, restore primal
-     feasibility while keeping dual feasibility.  Anti-cycling by the dual
-     Bland rule: leaving row = smallest basic-variable index among
-     infeasible rows; entering column = smallest index among the minimum
-     ratio obj_j / -a_rj over a_rj < 0.  [budget] bounds the pivot count
-     (the caller falls back to a cold solve on a stall). *)
-  type dual_outcome = Primal_feasible | Dual_infeasible_row | Stalled
-
-  let dual_iterate t ~pivots ~budget ~cancel =
-    let m = Array.length t.rows in
-    let rec go () =
-      if !pivots >= budget then Stalled
-      else begin
-        let leave = ref (-1) in
-        for i = 0 to m - 1 do
-          if F.compare t.rows.(i).(t.ncols) F.zero < 0
-             && (!leave < 0 || t.basis.(i) < t.basis.(!leave))
-          then leave := i
-        done;
-        if !leave < 0 then Primal_feasible
-        else begin
-          let r = t.rows.(!leave) in
-          let best = ref (-1) in
-          let best_ratio = ref F.zero in
-          for j = 0 to t.ncols - 1 do
-            if (not t.is_artificial.(j)) && F.compare r.(j) F.zero < 0 then begin
-              let ratio = F.div t.obj.(j) (F.neg r.(j)) in
-              if !best < 0 || F.compare ratio !best_ratio < 0 then begin
-                best := j;
-                best_ratio := ratio
-              end
-            end
-          done;
-          if !best < 0 then
-            (* rhs < 0 with every real coefficient >= 0: no non-negative
-               assignment can satisfy the row (artificials are 0 in any
-               solution of the original problem), so it is a certificate of
-               primal infeasibility. *)
-            Dual_infeasible_row
-          else begin
-            pivot t ~row:!leave ~col:!best;
-            incr pivots;
-            if !pivots land cancel_poll_mask = 0 then Cancel.check cancel;
-            go ()
-          end
-        end
-      end
-    in
-    go ()
-
-  (* Install a cost vector into the reduced-cost row and re-eliminate the
-     basic columns so the row is expressed over nonbasic variables only. *)
-  let install_costs t (costs : F.t array) =
-    let n = t.ncols in
-    for j = 0 to n do t.obj.(j) <- F.zero done;
-    Array.iteri (fun j c -> t.obj.(j) <- c) costs;
-    Array.iteri
-      (fun i b ->
-        let factor = t.obj.(b) in
-        if not (F.is_zero factor) then begin
-          let r = t.rows.(i) in
-          for j = 0 to n do
-            if not (F.is_zero r.(j)) then t.obj.(j) <- F.sub t.obj.(j) (F.mul factor r.(j))
-          done;
-          t.obj.(b) <- F.zero
-        end)
-      t.basis
-
-  (* Current objective value: the rhs cell of the reduced-cost row holds -z. *)
-  let objective_value t = F.neg t.obj.(t.ncols)
 
   (* Substitute the variable encodings into a term list.
      Returns (std terms, rhs adjustment to subtract). *)
@@ -401,56 +197,21 @@ module Make (F : Field.S) = struct
     let objective = P.eval_terms (P.objective p) assignment in
     Optimal { objective; assignment }
 
-  (* Read the original-variable solution off a primal-feasible tableau. *)
-  let read_solution (p : P.t) ~(encodings : encoding array) t =
-    let std = Array.make t.ncols F.zero in
-    Array.iteri (fun i b -> std.(b) <- t.rows.(i).(t.ncols)) t.basis;
-    decode_std p ~encodings std
-
-  let shared_snapshot_fields (p : P.t) ~(encodings : encoding array) state =
-    { s_nvars = P.num_vars p;
-      s_lowers = P.var_lowers p;
-      s_uppers = P.var_uppers p;
-      s_minimize = P.minimize p;
-      s_objective = P.objective p;
-      s_constrs = P.constraints p;
-      s_encodings = Array.copy encodings;
-      s_state = state }
-
-  let capture (p : P.t) ~(encodings : encoding array) t : snapshot =
-    shared_snapshot_fields p ~encodings
-      (Dense_basis
-         { d_rows = Array.map Array.copy t.rows;
-           d_obj = Array.copy t.obj;
-           d_basis = Array.copy t.basis;
-           d_is_artificial = Array.copy t.is_artificial;
-           d_ncols = t.ncols })
-
   (** Does the snapshot's basis satisfy the warm-start invariants?  Primal:
       every basic value is non-negative.  Dual: every non-artificial
       reduced cost is non-negative.  Both hold after any optimal solve; the
       warm path relies on the dual half.  Exposed for the property tests
       that pin the invariants. *)
   let snapshot_primal_feasible (s : snapshot) =
-    match s.s_state with
-    | Dense_basis d ->
-      Array.for_all (fun r -> F.compare r.(d.d_ncols) F.zero >= 0) d.d_rows
-    | Sparse_basis z ->
-      Array.for_all (fun x -> F.compare x F.zero >= 0) z.z_xb
+    Array.for_all (fun x -> F.compare x F.zero >= 0) s.s_state.z_xb
 
   let snapshot_dual_feasible (s : snapshot) =
+    let z = s.s_state in
     let ok = ref true in
-    (match s.s_state with
-     | Dense_basis d ->
-       for j = 0 to d.d_ncols - 1 do
-         if (not d.d_is_artificial.(j)) && F.compare d.d_obj.(j) F.zero < 0 then
-           ok := false
-       done
-     | Sparse_basis z ->
-       for j = 0 to z.z_ncols - 1 do
-         if (not z.z_is_artificial.(j)) && F.compare z.z_dj.(j) F.zero < 0 then
-           ok := false
-       done);
+    for j = 0 to z.z_ncols - 1 do
+      if (not z.z_is_artificial.(j)) && F.compare z.z_dj.(j) F.zero < 0 then
+        ok := false
+    done;
     !ok
 
   (** Number of appended rows a problem adds on top of a snapshot (only
@@ -514,16 +275,16 @@ module Make (F : Field.S) = struct
     extras_ok base
 
   (* ------------------------------------------------------------------ *)
-  (* Shared standard-form front end                                      *)
+  (* Standard form                                                       *)
   (* ------------------------------------------------------------------ *)
 
-  (** Standard form shared by both cores: variable encodings over
-      non-negative standard variables, and rows as sparse term lists
-      (bound-cap rows first, then constraint rows in declaration order, so
-      the column layout of a prefix problem is a prefix of any extended
-      problem's layout — warm starts append columns, never reshuffle
-      them).  Nothing row-length-dense is allocated here; the dense core
-      densifies at solve time, the sparse core assembles a CSC matrix. *)
+  (** Standard form: variable encodings over non-negative standard
+      variables, and rows as sparse term lists (bound-cap rows first,
+      then constraint rows in declaration order, so the column layout of a
+      prefix problem is a prefix of any extended problem's layout — warm
+      starts append columns, never reshuffle them).  Nothing
+      row-length-dense is allocated here; the solve assembles a CSC
+      matrix. *)
   type spec = {
     c_encodings : encoding array;
     c_rows : ((F.t * int) list * F.t) list; (* (terms over std vars incl. slack, rhs) *)
@@ -599,246 +360,24 @@ module Make (F : Field.S) = struct
     costs
 
   (* ------------------------------------------------------------------ *)
-  (* Dense cold solve                                                    *)
+  (* Revised simplex core                                                *)
   (* ------------------------------------------------------------------ *)
 
-  let dense_solve_with_spec (p : P.t) (spec : spec) ~st ~cancel ~want_capture
-      : result * snapshot option =
-    let encodings = spec.c_encodings in
-    let nstd = spec.c_nstd in
-    let m = List.length spec.c_rows in
-    (* --- densify, normalize rhs signs, pick basic columns, artificials - *)
-    let dense = Array.make_matrix m (nstd + 1) F.zero in
-    List.iteri
-      (fun i (terms, rhs) ->
-        List.iter (fun (c, v) -> dense.(i).(v) <- F.add dense.(i).(v) c) terms;
-        dense.(i).(nstd) <- rhs)
-      spec.c_rows;
-    Array.iter
-      (fun r ->
-        if F.compare r.(nstd) F.zero < 0 then
-          Array.iteri (fun j x -> r.(j) <- F.neg x) r)
-      dense;
-    (* A row can use its slack as the initial basic variable iff the slack
-       coefficient survived as +1 after sign normalization. *)
-    let basis0 = Array.make m (-1) in
-    let needs_artificial = ref [] in
-    Array.iteri
-      (fun i r ->
-        let found = ref (-1) in
-        for j = 0 to nstd - 1 do
-          if !found < 0 && spec.c_slack_set.(j) && F.equal r.(j) F.one then
-            (* Must be the only row touching this slack (always true: each
-               slack occurs in exactly one row). *)
-            found := j
-        done;
-        if !found >= 0 then basis0.(i) <- !found
-        else needs_artificial := i :: !needs_artificial)
-      dense;
-    let nart = List.length !needs_artificial in
-    let ncols = nstd + nart in
-    let rows =
-      Array.mapi
-        (fun _ r ->
-          let nr = Array.make (ncols + 1) F.zero in
-          Array.blit r 0 nr 0 nstd;
-          nr.(ncols) <- r.(nstd);
-          nr)
-        dense
-    in
-    List.iteri
-      (fun k i ->
-        let col = nstd + k in
-        rows.(i).(col) <- F.one;
-        basis0.(i) <- col)
-      (List.rev !needs_artificial);
-    let is_artificial = Array.init ncols (fun j -> j >= nstd) in
-    let t =
-      { rows; basis = basis0; obj = Array.make (ncols + 1) F.zero; ncols;
-        is_artificial }
-    in
-    (* --- phase 1 -------------------------------------------------------- *)
-    let phase1_needed = nart > 0 in
-    let feasible =
-      if not phase1_needed then true
-      else
-        Obs.Phases.time st.phases phase_phase1 (fun () ->
-            let costs = Array.make (ncols + 1) F.zero in
-            for j = nstd to ncols - 1 do costs.(j) <- F.one done;
-            install_costs t costs;
-            let p1 = ref 0 in
-            (match iterate t ~allow_artificial:true ~pivots:p1 ~cancel with
-             | Unbounded_direction ->
-               (* Phase-1 objective is bounded below by 0; cannot happen. *)
-               assert false
-             | Finished -> ());
-            st.phase1_pivots <- st.phase1_pivots + !p1;
-            F.is_zero (objective_value t))
-    in
-    if not feasible then (Infeasible, None)
-    else begin
-      (* Drive surviving artificials out of the basis (they sit at 0).
-         Still phase-1 work for attribution purposes. *)
-      if phase1_needed then
-        Obs.Phases.time st.phases phase_phase1 (fun () ->
-            Array.iteri
-              (fun i b ->
-                if t.is_artificial.(b) then begin
-                  let r = t.rows.(i) in
-                  let col = ref (-1) in
-                  for j = 0 to nstd - 1 do
-                    if !col < 0 && not (F.is_zero r.(j)) then col := j
-                  done;
-                  if !col >= 0 then begin
-                    pivot t ~row:i ~col:!col;
-                    st.phase1_pivots <- st.phase1_pivots + 1
-                  end
-                  (* else: redundant 0 = 0 row; the artificial stays basic
-                     at 0 and can never become positive: its row has no
-                     nonzero real coefficient, so pivots on real columns
-                     leave it untouched. *)
-                end)
-              (Array.copy t.basis));
-      (* --- phase 2 ------------------------------------------------------ *)
-      let outcome =
-        Obs.Phases.time st.phases phase_phase2 (fun () ->
-            let costs = Array.make (ncols + 1) F.zero in
-            Array.blit (phase2_costs p ~encodings ~ncols) 0 costs 0 ncols;
-            install_costs t costs;
-            let p2 = ref 0 in
-            let outcome = iterate t ~allow_artificial:false ~pivots:p2 ~cancel in
-            st.phase2_pivots <- st.phase2_pivots + !p2;
-            outcome)
-      in
-      match outcome with
-      | Unbounded_direction -> (Unbounded, None)
-      | Finished ->
-        let result = read_solution p ~encodings t in
-        let snap =
-          if want_capture then
-            Some
-              (Obs.Phases.time st.phases phase_snapshot (fun () ->
-                   capture p ~encodings t))
-          else None
-        in
-        (result, snap)
-    end
-
-  (* ------------------------------------------------------------------ *)
-  (* Dense warm solve                                                    *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Extend the snapshot's final tableau with [p]'s appended rows: widen
-     every row by one slack column per appended row, express each appended
-     row over the current basis by Gaussian elimination, and make its slack
-     basic.  Dual feasibility is inherited from the parent's optimality
-     (appended slacks have zero cost); primal feasibility generally is not
-     — the rhs of an appended row may come out negative — which is exactly
-     what the dual phase then repairs.  Returns [None] when the dual phase
-     stalls (budget) or the cleanup detects drift: caller goes cold. *)
-  let warm_attempt (s : snapshot) (d : dense_state) (p : P.t) ~st ~budget ~cancel
-      : (result * snapshot option) option =
-    let constrs = P.constraints p in
-    let base_rows = Array.length d.d_rows in
-    let base = Array.length s.s_constrs in
-    let k = Array.length constrs - base in
-    let ncols = d.d_ncols + k in
-    let widen src =
-      let nr = Array.make (ncols + 1) F.zero in
-      Array.blit src 0 nr 0 d.d_ncols;
-      nr.(ncols) <- src.(d.d_ncols);
-      nr
-    in
-    let rows = Array.make (base_rows + k) [||] in
-    for i = 0 to base_rows - 1 do rows.(i) <- widen d.d_rows.(i) done;
-    let basis = Array.make (base_rows + k) (-1) in
-    Array.blit d.d_basis 0 basis 0 base_rows;
-    let is_artificial = Array.make ncols false in
-    Array.blit d.d_is_artificial 0 is_artificial 0 d.d_ncols;
-    let t = { rows; basis; obj = widen d.d_obj; ncols; is_artificial } in
-    for e = 0 to k - 1 do
-      let c = constrs.(base + e) in
-      let terms, adjust = encode_terms s.s_encodings c.terms in
-      let r = Array.make (ncols + 1) F.zero in
-      List.iter (fun (coef, u) -> r.(u) <- F.add r.(u) coef) terms;
-      r.(ncols) <- F.sub c.rhs adjust;
-      let slack = d.d_ncols + e in
-      (match c.op with
-       | Lp_problem.Le -> r.(slack) <- F.one
-       | Lp_problem.Ge -> r.(slack) <- F.neg F.one
-       | Lp_problem.Eq -> assert false (* excluded by [compatible] *));
-      (* Express the row over the current basis. *)
-      let mrow = base_rows + e in
-      for i = 0 to mrow - 1 do
-        let b = basis.(i) in
-        let factor = r.(b) in
-        if not (F.is_zero factor) then begin
-          let br = rows.(i) in
-          for j = 0 to ncols do
-            if not (F.is_zero br.(j)) then r.(j) <- F.sub r.(j) (F.mul factor br.(j))
-          done;
-          r.(b) <- F.zero
-        end
-      done;
-      (* Normalize a Ge row so its slack is basic with coefficient +1. *)
-      if c.op = Lp_problem.Ge then
-        for j = 0 to ncols do r.(j) <- F.neg r.(j) done;
-      rows.(mrow) <- r;
-      basis.(mrow) <- slack
-    done;
-    (* The parent's optimality gives dual feasibility; verify cheaply in
-       case the snapshot predates numeric drift (floats). *)
-    let dual_ok = ref true in
-    for j = 0 to ncols - 1 do
-      if (not is_artificial.(j)) && F.compare t.obj.(j) F.zero < 0 then
-        dual_ok := false
-    done;
-    if not !dual_ok then None
-    else begin
-      let outcome =
-        Obs.Phases.time st.phases phase_dual (fun () ->
-            let dp = ref 0 in
-            let outcome = dual_iterate t ~pivots:dp ~budget ~cancel in
-            st.dual_pivots <- st.dual_pivots + !dp;
-            outcome)
-      in
-      match outcome with
-      | Stalled -> None
-      | Dual_infeasible_row -> Some (Infeasible, None)
-      | Primal_feasible ->
-        (* Optimality cleanup: with exact arithmetic the tableau is already
-           optimal and this performs zero pivots; with floats it absorbs
-           any residual negative reduced cost. *)
-        let cleanup =
-          Obs.Phases.time st.phases phase_phase2 (fun () ->
-              let p2 = ref 0 in
-              let cleanup = iterate t ~allow_artificial:false ~pivots:p2 ~cancel in
-              st.phase2_pivots <- st.phase2_pivots + !p2;
-              cleanup)
-        in
-        (match cleanup with
-         | Unbounded_direction ->
-           (* Cannot happen on a well-posed extension; be safe, go cold. *)
-           None
-         | Finished ->
-           let result = read_solution p ~encodings:s.s_encodings t in
-           let snap =
-             Obs.Phases.time st.phases phase_snapshot (fun () ->
-                 capture p ~encodings:s.s_encodings t)
-           in
-           Some (result, Some snap))
-    end
-
-  (* ------------------------------------------------------------------ *)
-  (* Sparse revised core                                                 *)
-  (* ------------------------------------------------------------------ *)
-
-  (** Raised by the sparse core when the factorization cannot keep the
-      basis numerically coherent (inexact fields only); the caller falls
-      back to the dense core. *)
+  (** Raised when the factorization cannot keep the basis numerically
+      coherent (inexact fields only).  A warm restart that hits it falls
+      back to a cold solve; a cold solve lets it propagate. *)
   exception Numerical_trouble
 
-  type sp_form = {
+  type iterate_outcome = Finished | Unbounded_direction
+
+  type dual_outcome = Primal_feasible | Dual_infeasible_row | Stalled
+
+  (* Poll cancellation every 16 pivots: frequent enough that a deadline
+     aborts a long solve within milliseconds; the check itself is a few
+     loads. *)
+  let cancel_poll_mask = 15
+
+  type form = {
     fa : F.t Sparse_mat.t;        (* m x ncols, artificial columns included *)
     fat : F.t Sparse_mat.t;       (* transpose of [fa]: column i = row i *)
     fb : F.t array;               (* rhs (base rows sign-normalized) *)
@@ -852,7 +391,7 @@ module Make (F : Field.S) = struct
   (* Normalize signs, detect slack basics, append artificial columns.
      Returns mutable row term lists ((col, coef), duplicates allowed) so
      the warm path can extend them before CSC assembly. *)
-  let sp_rows_of_spec (spec : spec) =
+  let rows_of_spec (spec : spec) =
     let rows = Array.of_list spec.c_rows in
     let m = Array.length rows in
     let nstd = spec.c_nstd in
@@ -889,12 +428,12 @@ module Make (F : Field.S) = struct
       needs_artificial;
     (row_terms, rhs, basis0, nart, nstd, ncols)
 
-  let sp_assemble ~m ~ncols row_terms =
+  let assemble ~m ~ncols row_terms =
     Sparse_mat.of_rows ~zero:F.zero ~is_zero:F.is_zero ~add:F.add ~m ~n:ncols
       row_terms
 
-  type sp_state = {
-    form : sp_form;
+  type state = {
+    form : form;
     sbasis : int array;           (* row slot -> basic column *)
     in_basis : bool array;
     lu : Lu.t;
@@ -917,7 +456,7 @@ module Make (F : Field.S) = struct
     scancel : Cancel.t;
   }
 
-  let sp_new_state (form : sp_form) (basis : int array) ~st ~cancel : sp_state =
+  let new_state (form : form) (basis : int array) ~st ~cancel : state =
     let m = Array.length form.fb in
     let n = form.fncols in
     let in_basis = Array.make n false in
@@ -936,7 +475,7 @@ module Make (F : Field.S) = struct
       sst = st; scancel = cancel }
 
   (* Full reduced-cost recompute: y = BTRAN(c_B), then d_j = c_j - y·a_j. *)
-  let sp_compute_dj (x : sp_state) =
+  let compute_dj (x : state) =
     let m = Array.length x.beta in
     Obs.Phases.time x.sst.phases phase_btran (fun () ->
         for i = 0 to m - 1 do x.rho.(i) <- x.costs.(x.sbasis.(i)) done;
@@ -955,8 +494,8 @@ module Make (F : Field.S) = struct
 
   (* Refactorize, recompute x_B and reduced costs, and verify the fresh
      factorization reproduces b (an inexact field that cannot is beyond
-     what refactorizing fixes: punt to the dense core). *)
-  let sp_refactor (x : sp_state) =
+     what refactorizing fixes: raise [Numerical_trouble]). *)
+  let refactor (x : state) =
     Obs.Phases.time x.sst.phases phase_factor (fun () ->
         Lu.factorize x.lu x.form.fa ~basis:x.sbasis;
         x.sst.refactorizations <- x.sst.refactorizations + 1;
@@ -965,7 +504,7 @@ module Make (F : Field.S) = struct
         Obs.Metrics.incr m_refactorizations;
         Array.blit x.form.fb 0 x.beta 0 (Array.length x.beta);
         Lu.ftran x.lu x.beta);
-    sp_compute_dj x;
+    compute_dj x;
     let resid =
       Lu.residual_inf x.form.fa ~basis:x.sbasis ~rhs:x.form.fb ~xb:x.beta
     in
@@ -974,8 +513,8 @@ module Make (F : Field.S) = struct
 
   (* Refactorization policy: every K update etas, or when a periodic
      residual check sees drift beyond tolerance. *)
-  let sp_maybe_refactor (x : sp_state) =
-    if Lu.update_count x.lu >= max 1 tuning.refactor_every then sp_refactor x
+  let maybe_refactor (x : state) =
+    if Lu.update_count x.lu >= max 1 tuning.refactor_every then refactor x
     else begin
       x.since_drift <- x.since_drift + 1;
       if x.since_drift >= max 1 tuning.drift_check_every then begin
@@ -984,7 +523,7 @@ module Make (F : Field.S) = struct
           Lu.residual_inf x.form.fa ~basis:x.sbasis ~rhs:x.form.fb ~xb:x.beta
         in
         if Float.abs (F.to_float resid) > tuning.drift_tol *. (1.0 +. x.bnorm)
-        then sp_refactor x
+        then refactor x
       end
     end
 
@@ -992,7 +531,7 @@ module Make (F : Field.S) = struct
      or lowest-index Bland scan once the anti-cycling fallback engaged.
      Eligibility (d_j < 0) is decided by exact field comparison; the devex
      score is a float heuristic only. *)
-  let sp_price (x : sp_state) ~allow_artificial =
+  let price (x : state) ~allow_artificial =
     Obs.Phases.time x.sst.phases phase_price (fun () ->
         let n = x.form.fncols in
         let eligible j =
@@ -1039,7 +578,7 @@ module Make (F : Field.S) = struct
         end)
 
   (* FTRAN the entering column into the workspace. *)
-  let sp_ftran_col (x : sp_state) q =
+  let ftran_col (x : state) q =
     Obs.Phases.time x.sst.phases phase_ftran (fun () ->
         Array.fill x.w 0 (Array.length x.w) F.zero;
         Sparse_mat.scatter_col x.form.fa q x.w;
@@ -1048,7 +587,7 @@ module Make (F : Field.S) = struct
   (* Primal ratio test over the FTRAN'd column.  Ties: Bland mode prefers
      the smallest basic-variable index (termination); devex mode the
      largest pivot magnitude (stability). *)
-  let sp_leaving (x : sp_state) =
+  let leaving_row (x : state) =
     let m = Array.length x.beta in
     let best = ref (-1) in
     let best_ratio = ref F.zero in
@@ -1086,7 +625,7 @@ module Make (F : Field.S) = struct
      zero off-support.  Basic columns come out 0/1 for free, which is
      exactly what the incremental d update needs for the leaving
      variable. *)
-  let sp_pivot_row (x : sp_state) r =
+  let pivot_row (x : state) r =
     let m = Array.length x.rho in
     Obs.Phases.time x.sst.phases phase_btran (fun () ->
         Array.fill x.rho 0 m F.zero;
@@ -1116,7 +655,7 @@ module Make (F : Field.S) = struct
      incrementally off the pivot row, devex weights (Forrest–Goldfarb),
      append the product-form eta, swap the basis header, and feed the
      stall/cycling heuristic. *)
-  let sp_apply_pivot (x : sp_state) ~q ~r =
+  let apply_pivot (x : state) ~q ~r =
     let aq = x.w.(r) in
     let theta = F.div x.beta.(r) aq in
     let m = Array.length x.beta in
@@ -1170,29 +709,36 @@ module Make (F : Field.S) = struct
     end
     else x.stall <- 0
 
-  let rec sp_iterate (x : sp_state) ~allow_artificial ~pivots =
-    sp_maybe_refactor x;
-    match sp_price x ~allow_artificial with
+  let rec iterate (x : state) ~allow_artificial ~pivots =
+    maybe_refactor x;
+    match price x ~allow_artificial with
     | None -> Finished
     | Some q ->
-      sp_ftran_col x q;
-      (match sp_leaving x with
+      ftran_col x q;
+      (match leaving_row x with
        | None -> Unbounded_direction
        | Some r ->
-         sp_pivot_row x r;
-         sp_apply_pivot x ~q ~r;
+         pivot_row x r;
+         apply_pivot x ~q ~r;
          incr pivots;
          if !pivots land cancel_poll_mask = 0 then Cancel.check x.scancel;
-         sp_iterate x ~allow_artificial ~pivots)
+         iterate x ~allow_artificial ~pivots)
 
-  (* Revised dual simplex, mirroring the dense [dual_iterate] pivot rules
-     exactly (dual Bland anti-cycling, [budget]-bounded). *)
-  let sp_dual_iterate (x : sp_state) ~pivots ~budget =
+  (* Revised dual simplex: starting from a dual-feasible basis (all
+     non-artificial reduced costs >= 0) with some negative basic values,
+     restore primal feasibility while keeping dual feasibility.
+     Anti-cycling by the dual Bland rule: leaving row = smallest
+     basic-variable index among infeasible rows; entering column =
+     smallest index among the minimum ratio d_j / -alpha_j over
+     alpha_j < 0.  [budget] bounds the pivot count (the caller falls back
+     to a cold solve on a stall).  A row with no eligible column is a
+     certificate of primal infeasibility. *)
+  let dual_iterate (x : state) ~pivots ~budget =
     let m = Array.length x.beta in
     let rec go () =
       if !pivots >= budget then Stalled
       else begin
-        sp_maybe_refactor x;
+        maybe_refactor x;
         let leave = ref (-1) in
         for i = 0 to m - 1 do
           if F.compare x.beta.(i) F.zero < 0
@@ -1202,7 +748,7 @@ module Make (F : Field.S) = struct
         if !leave < 0 then Primal_feasible
         else begin
           let r = !leave in
-          sp_pivot_row x r;
+          pivot_row x r;
           let best = ref (-1) in
           let best_ratio = ref F.zero in
           (* Off-support alpha is exactly zero, so scanning the support
@@ -1225,10 +771,10 @@ module Make (F : Field.S) = struct
           if !best < 0 then Dual_infeasible_row
           else begin
             let q = !best in
-            sp_ftran_col x q;
+            ftran_col x q;
             if F.is_zero x.w.(r) then raise Numerical_trouble
             else begin
-              sp_apply_pivot x ~q ~r;
+              apply_pivot x ~q ~r;
               incr pivots;
               if !pivots land cancel_poll_mask = 0 then Cancel.check x.scancel;
               go ()
@@ -1239,45 +785,51 @@ module Make (F : Field.S) = struct
     in
     go ()
 
-  let sp_read_solution (p : P.t) ~(encodings : encoding array) (x : sp_state) =
+  let read_solution (p : P.t) ~(encodings : encoding array) (x : state) =
     let std = Array.make x.form.fncols F.zero in
     Array.iteri (fun r col -> std.(col) <- x.beta.(r)) x.sbasis;
     decode_std p ~encodings std
 
-  let sp_capture (p : P.t) ~(encodings : encoding array) (x : sp_state)
+  let capture (p : P.t) ~(encodings : encoding array) (x : state)
       : snapshot =
-    shared_snapshot_fields p ~encodings
-      (Sparse_basis
-         { z_basis = Array.copy x.sbasis;
-           z_nstd = x.form.fnstd;
-           z_ncols = x.form.fncols;
-           z_base = x.form.fbase;
-           z_ncols0 = x.form.fncols0;
-           z_is_artificial = Array.copy x.form.fis_artificial;
-           z_xb = Array.copy x.beta;
-           z_dj = Array.copy x.dj })
+    { s_nvars = P.num_vars p;
+      s_lowers = P.var_lowers p;
+      s_uppers = P.var_uppers p;
+      s_minimize = P.minimize p;
+      s_objective = P.objective p;
+      s_constrs = P.constraints p;
+      s_encodings = Array.copy encodings;
+      s_state =
+        { z_basis = Array.copy x.sbasis;
+          z_nstd = x.form.fnstd;
+          z_ncols = x.form.fncols;
+          z_base = x.form.fbase;
+          z_ncols0 = x.form.fncols0;
+          z_is_artificial = Array.copy x.form.fis_artificial;
+          z_xb = Array.copy x.beta;
+          z_dj = Array.copy x.dj } }
 
   (* Reset per-phase pricing state (the dual phase runs Bland; each primal
      phase restarts devex with a fresh reference framework). *)
-  let sp_reset_pricing (x : sp_state) ~bland =
+  let reset_pricing (x : state) ~bland =
     x.bland <- bland;
     x.stall <- 0;
     Array.fill x.weights 0 (Array.length x.weights) 1.0
 
-  (* --- sparse cold solve --------------------------------------------- *)
+  (* --- cold solve ---------------------------------------------------- *)
 
-  let sp_solve_with_spec (p : P.t) (spec : spec) ~st ~cancel ~want_capture
+  let solve_with_spec (p : P.t) (spec : spec) ~st ~cancel ~want_capture
       : result * snapshot option =
-    let row_terms, rhs, basis0, nart, nstd, ncols = sp_rows_of_spec spec in
+    let row_terms, rhs, basis0, nart, nstd, ncols = rows_of_spec spec in
     let m = Array.length rhs in
-    let fa = sp_assemble ~m ~ncols row_terms in
+    let fa = assemble ~m ~ncols row_terms in
     let form =
       { fa; fat = Sparse_mat.transpose ~zero:F.zero fa; fb = rhs;
         fnstd = nstd; fncols = ncols;
         fbase = P.num_constraints p; fncols0 = ncols;
         fis_artificial = Array.init ncols (fun j -> j >= nstd) }
     in
-    let x = sp_new_state form basis0 ~st ~cancel in
+    let x = new_state form basis0 ~st ~cancel in
     let encodings = spec.c_encodings in
     (* --- phase 1 ------------------------------------------------------ *)
     let feasible =
@@ -1287,10 +839,10 @@ module Make (F : Field.S) = struct
             for j = 0 to ncols - 1 do
               x.costs.(j) <- (if form.fis_artificial.(j) then F.one else F.zero)
             done;
-            sp_reset_pricing x ~bland:false;
-            sp_refactor x;
+            reset_pricing x ~bland:false;
+            refactor x;
             let p1 = ref 0 in
-            (match sp_iterate x ~allow_artificial:true ~pivots:p1 with
+            (match iterate x ~allow_artificial:true ~pivots:p1 with
              | Unbounded_direction ->
                (* Phase-1 objective is bounded below by 0; cannot happen. *)
                assert false
@@ -1307,8 +859,7 @@ module Make (F : Field.S) = struct
     else begin
       (* Drive surviving artificials out of the basis (they sit at 0);
          a row whose pivot row has no nonzero real coefficient is
-         redundant and keeps its artificial basic at 0, exactly as in the
-         dense core. *)
+         redundant and keeps its artificial basic at 0. *)
       if nart > 0 then
         Obs.Phases.time st.phases phase_phase1 (fun () ->
             Array.iteri
@@ -1330,10 +881,10 @@ module Make (F : Field.S) = struct
                     end
                   done;
                   if !q >= 0 then begin
-                    sp_ftran_col x !q;
+                    ftran_col x !q;
                     if not (F.is_zero x.w.(r)) then begin
-                      sp_pivot_row x r;
-                      sp_apply_pivot x ~q:!q ~r;
+                      pivot_row x r;
+                      apply_pivot x ~q:!q ~r;
                       st.phase1_pivots <- st.phase1_pivots + 1
                     end
                   end
@@ -1344,28 +895,28 @@ module Make (F : Field.S) = struct
         Obs.Phases.time st.phases phase_phase2 (fun () ->
             let costs = phase2_costs p ~encodings ~ncols in
             Array.blit costs 0 x.costs 0 ncols;
-            sp_reset_pricing x ~bland:false;
-            if Lu.eta_count x.lu = 0 then sp_refactor x else sp_compute_dj x;
+            reset_pricing x ~bland:false;
+            if Lu.eta_count x.lu = 0 then refactor x else compute_dj x;
             let p2 = ref 0 in
-            let outcome = sp_iterate x ~allow_artificial:false ~pivots:p2 in
+            let outcome = iterate x ~allow_artificial:false ~pivots:p2 in
             st.phase2_pivots <- st.phase2_pivots + !p2;
             outcome)
       in
       match outcome with
       | Unbounded_direction -> (Unbounded, None)
       | Finished ->
-        let result = sp_read_solution p ~encodings x in
+        let result = read_solution p ~encodings x in
         let snap =
           if want_capture then
             Some
               (Obs.Phases.time st.phases phase_snapshot (fun () ->
-                   sp_capture p ~encodings x))
+                   capture p ~encodings x))
           else None
         in
         (result, snap)
     end
 
-  (* --- sparse warm solve --------------------------------------------- *)
+  (* --- warm solve ---------------------------------------------------- *)
 
   (* Rebuild the snapshot's standard form deterministically from the
      ORIGINAL prefix problem ([z_base] rows — not every row the snapshot
@@ -1378,14 +929,15 @@ module Make (F : Field.S) = struct
      extended basis is block-triangular, the new rows' multipliers are
      zero, and every old reduced cost is unchanged — then repair primal
      feasibility with the budget-bounded dual phase. *)
-  let sp_warm_attempt (s : snapshot) (z : sparse_state) (p : P.t) ~st ~budget
-      ~cancel : (result * snapshot option) option =
+  let warm_resolve (s : snapshot) (p : P.t) ~st ~budget ~cancel
+      : (result * snapshot option) option =
+    let z = s.s_state in
     let constrs = P.constraints p in
     let base = z.z_base in
     let kpar = Array.length s.s_constrs - base in
     let k = Array.length constrs - base in
     let spec = build_spec ~limit:base p ~lowers:s.s_lowers ~uppers:s.s_uppers in
-    let row_terms0, rhs0, _basis0, _nart, nstd, ncols0 = sp_rows_of_spec spec in
+    let row_terms0, rhs0, _basis0, _nart, nstd, ncols0 = rows_of_spec spec in
     let m0 = Array.length rhs0 in
     if nstd <> z.z_nstd || ncols0 <> z.z_ncols0
        || Array.length z.z_basis <> m0 + kpar
@@ -1416,7 +968,7 @@ module Make (F : Field.S) = struct
       let is_artificial = Array.make ncols false in
       Array.blit z.z_is_artificial 0 is_artificial 0
         (Array.length z.z_is_artificial);
-      let fa = sp_assemble ~m ~ncols row_terms in
+      let fa = assemble ~m ~ncols row_terms in
       let form =
         { fa; fat = Sparse_mat.transpose ~zero:F.zero fa; fb = rhs;
           fnstd = nstd; fncols = ncols;
@@ -1425,11 +977,11 @@ module Make (F : Field.S) = struct
       let basis = Array.make m (-1) in
       Array.blit z.z_basis 0 basis 0 (m0 + kpar);
       for e = kpar to k - 1 do basis.(m0 + e) <- ncols0 + e done;
-      let x = sp_new_state form basis ~st ~cancel in
+      let x = new_state form basis ~st ~cancel in
       let costs = phase2_costs p ~encodings:s.s_encodings ~ncols in
       Array.blit costs 0 x.costs 0 ncols;
-      sp_reset_pricing x ~bland:true;
-      sp_refactor x;
+      reset_pricing x ~bland:true;
+      refactor x;
       (* Inherited dual feasibility; verify cheaply in case the snapshot
          predates numeric drift (floats). *)
       let dual_ok = ref true in
@@ -1442,7 +994,7 @@ module Make (F : Field.S) = struct
         let outcome =
           Obs.Phases.time st.phases phase_dual (fun () ->
               let dp = ref 0 in
-              let outcome = sp_dual_iterate x ~pivots:dp ~budget in
+              let outcome = dual_iterate x ~pivots:dp ~budget in
               st.dual_pivots <- st.dual_pivots + !dp;
               outcome)
         in
@@ -1454,36 +1006,29 @@ module Make (F : Field.S) = struct
              here; floats absorb residual negative reduced costs. *)
           let cleanup =
             Obs.Phases.time st.phases phase_phase2 (fun () ->
-                sp_reset_pricing x ~bland:false;
+                reset_pricing x ~bland:false;
                 let p2 = ref 0 in
-                let cleanup = sp_iterate x ~allow_artificial:false ~pivots:p2 in
+                let cleanup = iterate x ~allow_artificial:false ~pivots:p2 in
                 st.phase2_pivots <- st.phase2_pivots + !p2;
                 cleanup)
           in
           (match cleanup with
            | Unbounded_direction -> None
            | Finished ->
-             let result = sp_read_solution p ~encodings:s.s_encodings x in
+             let result = read_solution p ~encodings:s.s_encodings x in
              let snap =
                Obs.Phases.time st.phases phase_snapshot (fun () ->
-                   sp_capture p ~encodings:s.s_encodings x)
+                   capture p ~encodings:s.s_encodings x)
              in
              Some (result, Some snap))
       end
     end
 
   (* ------------------------------------------------------------------ *)
-  (* Core dispatch                                                       *)
+  (* Entry points                                                        *)
   (* ------------------------------------------------------------------ *)
 
-  let resolve_core core (p : P.t) =
-    let c = match core with Some c -> c | None -> !default_core_ref in
-    match c with
-    | Auto ->
-      if P.num_constraints p <= tuning.auto_dense_rows then Dense else Sparse
-    | c -> c
-
-  let solve_cold ~core (p : P.t) ~st ~cancel ~want_capture
+  let solve_cold (p : P.t) ~st ~cancel ~want_capture
       : result * snapshot option =
     let nvars = P.num_vars p in
     let lowers = P.var_lowers p and uppers = P.var_uppers p in
@@ -1497,38 +1042,28 @@ module Make (F : Field.S) = struct
       go 0
     in
     if infeasible_bounds then (Infeasible, None)
-    else begin
-      let spec = build_spec p ~lowers ~uppers in
-      match core with
-      | Dense | Auto -> dense_solve_with_spec p spec ~st ~cancel ~want_capture
-      | Sparse -> (
-        try sp_solve_with_spec p spec ~st ~cancel ~want_capture
-        with Lu.Singular | Numerical_trouble ->
-          Obs.Metrics.incr m_dense_fallbacks;
-          dense_solve_with_spec p spec ~st ~cancel ~want_capture)
-    end
+    else
+      solve_with_spec p (build_spec p ~lowers ~uppers) ~st ~cancel ~want_capture
 
-  (* ------------------------------------------------------------------ *)
-  (* Entry points                                                        *)
-  (* ------------------------------------------------------------------ *)
-
-  let solve_stats_body ~cancel ~core (p : P.t) : result * stats =
+  let solve_stats_body ~cancel (p : P.t) : result * stats =
     let st = fresh_stats () in
     Obs.Metrics.incr m_solves;
-    let core = resolve_core core p in
-    let result, _ = solve_cold ~core p ~st ~cancel ~want_capture:false in
+    let result, _ =
+      Obs.Phases.time st.phases phase_setup (fun () ->
+          solve_cold p ~st ~cancel ~want_capture:false)
+    in
     st.pivots <- st.phase1_pivots + st.phase2_pivots;
     Obs.Metrics.add m_pivots st.pivots;
     observe_phase_histograms st;
     (result, st)
 
-  let solve_stats ?(cancel = Cancel.none) ?core (p : P.t) : result * stats =
+  let solve_stats ?(cancel = Cancel.none) (p : P.t) : result * stats =
     Obs.span "simplex.solve" (fun () ->
-        let ((_, st) as r) = solve_stats_body ~cancel ~core p in
+        let ((_, st) as r) = solve_stats_body ~cancel p in
         Obs.add_attr "pivots" (Obs.Int st.pivots);
         r)
 
-  let solve ?cancel ?core (p : P.t) : result = fst (solve_stats ?cancel ?core p)
+  let solve ?cancel (p : P.t) : result = fst (solve_stats ?cancel p)
 
   (** Outcome of a {!solve_warm} call.  [warm_used] means the result came
       from the warm path (snapshot accepted, dual phase converged);
@@ -1545,21 +1080,19 @@ module Make (F : Field.S) = struct
   }
 
   (** Solve [p], optionally warm-starting [?from] a snapshot of a previous
-      optimal solve of a prefix problem.  The warm replay always runs on
-      the core that produced the snapshot; [?core] (or the global default)
-      picks the core for cold solves.  The default dual-pivot budget
+      optimal solve of a prefix problem.  The default dual-pivot budget
       scales with the basis height; a stall falls back to a cold solve, so
       a warm start can never yield a different answer than a cold one —
       only fewer (or, pathologically, more) pivots. *)
-  let solve_warm ?(cancel = Cancel.none) ?from ?max_dual_pivots ?core (p : P.t)
+  let solve_warm ?(cancel = Cancel.none) ?from ?max_dual_pivots (p : P.t)
       : warm_outcome =
     Obs.span "simplex.solve" (fun () ->
         let st = fresh_stats () in
         Obs.Metrics.incr m_solves;
-        let cold_core = resolve_core core p in
         let warm_used = ref false and fell_back = ref false in
-        let cold () = solve_cold ~core:cold_core p ~st ~cancel ~want_capture:true in
+        let cold () = solve_cold p ~st ~cancel ~want_capture:true in
         let result, snapshot =
+          Obs.Phases.time st.phases phase_setup @@ fun () ->
           match from with
           | None -> cold ()
           | Some s ->
@@ -1571,14 +1104,13 @@ module Make (F : Field.S) = struct
               let budget =
                 match max_dual_pivots with
                 | Some b -> b
-                | None -> 64 + (4 * (snapshot_rows s + snapshot_extra_rows s p))
+                | None ->
+                  64 + (4 * (Array.length s.s_state.z_basis
+                             + snapshot_extra_rows s p))
               in
               let attempt =
-                match s.s_state with
-                | Dense_basis d -> warm_attempt s d p ~st ~budget ~cancel
-                | Sparse_basis z -> (
-                  try sp_warm_attempt s z p ~st ~budget ~cancel
-                  with Lu.Singular | Numerical_trouble -> None)
+                try warm_resolve s p ~st ~budget ~cancel
+                with Lu.Singular | Numerical_trouble -> None
               in
               match attempt with
               | Some (result, snap) ->

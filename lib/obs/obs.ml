@@ -1193,9 +1193,14 @@ module Phases = struct
      caller owns, not process-wide state). *)
   type cell = { mutable pc_count : int; mutable pc_total_us : float }
 
-  type t = { mutable entries : (string * cell) list (* reverse first-use order *) }
+  type t = {
+    mutable entries : (string * cell) list; (* reverse first-use order *)
+    mutable nested_us : float;
+        (* wall clock of the [time] calls nested inside the innermost open
+           one, subtracted from it so every phase records self time *)
+  }
 
-  let create () = { entries = [] }
+  let create () = { entries = []; nested_us = 0.0 }
 
   let cell t name =
     match List.assoc_opt name t.entries with
@@ -1211,8 +1216,15 @@ module Phases = struct
     c.pc_total_us <- c.pc_total_us +. Float.max 0.0 us
 
   let time t name f =
+    let outer_nested = t.nested_us in
+    t.nested_us <- 0.0;
     let start = now_us () in
-    Fun.protect ~finally:(fun () -> add_us t name (Float.max 0.0 (now_us () -. start))) f
+    Fun.protect
+      ~finally:(fun () ->
+        let elapsed = Float.max 0.0 (now_us () -. start) in
+        add_us t name (elapsed -. t.nested_us);
+        t.nested_us <- outer_nested +. elapsed)
+      f
 
   let count t name =
     match List.assoc_opt name t.entries with Some c -> c.pc_count | None -> 0

@@ -386,8 +386,11 @@ module Phases : sig
   val create : unit -> t
 
   val time : t -> string -> (unit -> 'a) -> 'a
-  (** Run the thunk, adding its wall-clock duration (and one call) to the
-      named phase; exception-safe. *)
+  (** Run the thunk, adding its self time (and one call) to the named
+      phase; exception-safe.  Self time is the thunk's wall-clock duration
+      minus that of the [time] calls nested inside it on the same [t], so
+      phases never overlap and their totals add up to the timed wall
+      clock. *)
 
   val add_us : t -> string -> float -> unit
   (** Credit a pre-measured duration (clamped at [0.0]) to the named

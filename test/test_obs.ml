@@ -549,6 +549,28 @@ let phases_tests =
         Alcotest.(check int) "ok counted" 1 (Obs.Phases.count p "ok");
         Alcotest.(check int) "raised phase still counted" 1
           (Obs.Phases.count p "boom"));
+    t "nested phases record self time and add up to the wall clock" (fun () ->
+        let p = Obs.Phases.create () in
+        let t0 = Obs.now_us () in
+        Obs.Phases.time p "outer" (fun () ->
+            Unix.sleepf 0.02;
+            Obs.Phases.time p "inner" (fun () -> Unix.sleepf 0.03);
+            Unix.sleepf 0.01);
+        let elapsed = Obs.now_us () -. t0 in
+        let outer = Obs.Phases.total_us p "outer" in
+        let inner = Obs.Phases.total_us p "inner" in
+        Alcotest.(check bool)
+          (Printf.sprintf "inner %.0f us covers its 30 ms sleep" inner)
+          true (inner >= 30_000.0);
+        Alcotest.(check bool)
+          (Printf.sprintf "outer %.0f + inner %.0f within 2%% of %.0f us"
+             outer inner elapsed)
+          true
+          (Float.abs (outer +. inner -. elapsed) <= 0.02 *. elapsed);
+        Alcotest.(check bool)
+          (Printf.sprintf "outer %.0f us excludes the inner phase" outer)
+          true
+          (outer <= elapsed -. inner +. (0.02 *. elapsed)));
     t "merge_into adds phase-wise and preserves destination order" (fun () ->
         let a = Obs.Phases.create () and b = Obs.Phases.create () in
         Obs.Phases.add_us a "p1" 1.0;

@@ -1,15 +1,14 @@
 (* The sparse revised simplex, pinned by a dense-differential harness.
 
-   The sparse core (CSC columns + LU/eta basis factorization + devex
+   The revised core (CSC columns + LU/eta basis factorization + devex
    pricing with a Bland fallback) is an optimization that must be
-   semantically invisible: these tests compare it against the dense
-   tableau core on random repair-shaped MILPs over both coefficient
-   fields, cross-check the warm-start contract core-by-core, regression-
-   test anti-cycling through the sparse path (Beale + a degenerate
-   transportation instance), pin the factorization's numerical-drift
-   machinery (residual bounds, forced refactorization, exact-zero
-   residual under rationals), and pin the encoder's O(nnz) row building
-   on a 10k-cell document. *)
+   semantically invisible: these tests compare its branch & bound and
+   its warm restarts against the dense tableau oracle in [Lp_oracle] on
+   random repair-shaped MILPs over both coefficient fields, regression-
+   test anti-cycling (Beale + a degenerate transportation instance), pin
+   the factorization's numerical-drift machinery (residual bounds,
+   forced refactorization, exact-zero residual under rationals), and pin
+   the encoder's O(nnz) row building on a 10k-cell document. *)
 
 open Dart_numeric
 open Dart_relational
@@ -76,6 +75,7 @@ module Make_diff (F : Dart_lp.Field.S) = struct
   module M = Dart_lp.Milp.Make (F)
   module P = M.P
   module S = M.S
+  module O = Lp_oracle.Make (F)
 
   let big_m = 12
 
@@ -144,51 +144,44 @@ module Make_diff (F : Dart_lp.Field.S) = struct
       z;
     !k
 
-  (* Tentpole differential: branch-and-bound on the sparse core agrees
-     with the dense core on status, objective and repair cardinality. *)
+  (* Branch-and-bound on the revised core agrees with the dense oracle's
+     search on status and objective, and its repair has the cardinality
+     the objective claims. *)
   let prop_differential i =
     let p, z, vals = build i in
-    let sparse = M.solve ~integral_objective:true ~core:Simplex.Sparse p in
-    let dense = M.solve ~integral_objective:true ~core:Simplex.Dense p in
-    match sparse.M.status, dense.M.status with
-    | M.Optimal, M.Optimal -> (
-      match sparse.M.objective, dense.M.objective, sparse.M.assignment with
-      | Some a, Some b, Some assignment ->
+    let sparse = M.solve ~integral_objective:true p in
+    match sparse.M.status, O.solve_milp ~integral_objective:true p with
+    | M.Optimal, O.Optimal (b, _) -> (
+      match sparse.M.objective, sparse.M.assignment with
+      | Some a, Some assignment ->
         F.equal a b
         && F.equal a (F.of_int (cardinality assignment z vals))
       | _ -> false)
-    | sa, sb -> sa = sb
+    | M.Infeasible, O.Infeasible | M.Unbounded, O.Unbounded -> true
+    | _ -> false
 
-  (* Warm-start cross-check: each core warm-restarts from its own
-     snapshot after a pin, and sparse-warm ≡ dense-warm ≡ dense-cold on
-     the LP relaxation.  The pin fixes z_0 at an optimal value, so the
-     old optimum stays feasible and the objective must not move. *)
+  (* Warm-start cross-check on the LP relaxation: the revised core's cold
+     solve matches the oracle, and after a pin its warm restart from the
+     cold snapshot matches the oracle's cold solve of the pinned problem.
+     The pin fixes z_0 at an optimal value, so the old optimum stays
+     feasible and the objective must not move. *)
   let prop_warm_cross i =
     let p, z, _ = build i in
-    let ws = S.solve_warm ~core:Simplex.Sparse p in
-    let wd = S.solve_warm ~core:Simplex.Dense p in
-    match ws.S.result, wd.S.result with
-    | S.Optimal { objective = os; assignment }, S.Optimal { objective = od; _ }
-      ->
-      F.equal os od
+    let w = S.solve_warm p in
+    match w.S.result, O.solve_lp p with
+    | S.Optimal { objective = os; assignment }, O.Optimal (oo, ox) ->
+      F.equal os oo && P.feasible p ox
       &&
       let v = assignment.(z.(0)) in
       P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Le v;
       P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Ge v;
-      let ws2 = S.solve_warm ?from:ws.S.snapshot ~core:Simplex.Sparse p in
-      let wd2 = S.solve_warm ?from:wd.S.snapshot ~core:Simplex.Dense p in
-      let cold = S.solve_warm ~core:Simplex.Dense p in
-      (match ws2.S.result, wd2.S.result, cold.S.result with
-       | S.Optimal { objective = a; _ }, S.Optimal { objective = b; _ },
-         S.Optimal { objective = c; _ } ->
-         F.equal a os && F.equal b os && F.equal c os
+      let w2 = S.solve_warm ?from:w.S.snapshot p in
+      (match w2.S.result, O.solve_lp p with
+       | S.Optimal { objective = a; _ }, O.Optimal (b, _) ->
+         F.equal a os && F.equal b os
        | _ -> false)
-    | sa, sb -> (
-      (* Both cores must at least agree on the cold status. *)
-      match sa, sb with
-      | S.Optimal _, S.Optimal _ -> true (* handled above *)
-      | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
-      | _ -> false)
+    | S.Infeasible, O.Infeasible | S.Unbounded, O.Unbounded -> true
+    | _ -> false
 
   (* Chained warm restarts — the B&B pattern: pin, warm-solve, pin
      deeper, warm-solve from the *warm* solve's snapshot.  The second
@@ -198,7 +191,7 @@ module Make_diff (F : Dart_lp.Field.S) = struct
      every second-generation restart failed the layout check. *)
   let prop_warm_chain i =
     let p, z, _ = build i in
-    let w0 = S.solve_warm ~core:Simplex.Sparse p in
+    let w0 = S.solve_warm p in
     match w0.S.result, w0.S.snapshot with
     | S.Optimal { objective = o0; assignment = a0 }, Some snap0 -> (
       let pin j v =
@@ -208,14 +201,14 @@ module Make_diff (F : Dart_lp.Field.S) = struct
           Dart_lp.Lp_problem.Ge v
       in
       pin 0 a0.(z.(0));
-      let w1 = S.solve_warm ~from:snap0 ~core:Simplex.Sparse p in
+      let w1 = S.solve_warm ~from:snap0 p in
       match w1.S.result, w1.S.snapshot with
       | S.Optimal { objective = o1; assignment = a1 }, Some snap1 ->
         w1.S.warm_used && F.equal o1 o0
         &&
         let j = Array.length z - 1 in
         pin j a1.(z.(j));
-        let w2 = S.solve_warm ~from:snap1 ~core:Simplex.Sparse p in
+        let w2 = S.solve_warm ~from:snap1 p in
         w2.S.warm_used
         && (match w2.S.result with
            | S.Optimal { objective = o2; _ } -> F.equal o2 o0
@@ -228,13 +221,13 @@ module Make_diff (F : Dart_lp.Field.S) = struct
      dense contract in test_warm. *)
   let prop_sparse_self_warm i =
     let p, _, _ = build i in
-    let w = S.solve_warm ~core:Simplex.Sparse p in
+    let w = S.solve_warm p in
     match w.S.result, w.S.snapshot with
     | S.Optimal { objective; _ }, Some snap ->
       S.snapshot_primal_feasible snap
       && S.snapshot_dual_feasible snap
       &&
-      let w2 = S.solve_warm ~from:snap ~core:Simplex.Sparse p in
+      let w2 = S.solve_warm ~from:snap p in
       w2.S.warm_used
       && w2.S.stats.S.pivots = 0
       && (match w2.S.result with
@@ -250,7 +243,7 @@ module Make_diff (F : Dart_lp.Field.S) = struct
            arb_inst prop)
     in
     [ q "sparse == dense B&B on random repair MILPs" 500 prop_differential;
-      q "warm cross-check: sparse warm == dense warm == cold" 500
+      q "warm cross-check: sparse warm == dense oracle" 500
         prop_warm_cross;
       q "chained warm restarts stay on the warm path" 500 prop_warm_chain;
       q "sparse snapshots: invariants hold; self-warm-start is a no-op" 500
@@ -335,9 +328,9 @@ let pivot_budget = 64
 let anticycling_tests =
   [ t "Beale through the sparse core: optimal within the pivot budget"
       (fun () ->
-        let _, st = SR.solve_stats ~core:Simplex.Sparse (beale ()) in
+        let _, st = SR.solve_stats (beale ()) in
         ignore st;
-        let result, st = SR.solve_stats ~core:Simplex.Sparse (beale ()) in
+        let result, st = SR.solve_stats (beale ()) in
         (match result with
          | SR.Optimal { objective; _ } ->
            Alcotest.(check bool) "optimum -1/20" true
@@ -349,7 +342,7 @@ let anticycling_tests =
           (st.SR.pivots <= pivot_budget));
     t "degenerate transportation LP: sparse core within the pivot budget"
       (fun () ->
-        let result, st = SR.solve_stats ~core:Simplex.Sparse (transportation ()) in
+        let result, st = SR.solve_stats (transportation ()) in
         (match result with
          | SR.Optimal { objective; _ } ->
            Alcotest.(check bool) "optimum 0" true (Rat.is_zero objective)
@@ -368,7 +361,7 @@ let anticycling_tests =
           (fun () ->
             (* With a zero stall threshold the first degenerate pivot at
                Beale's origin flips the solve to Bland's rule. *)
-            let result, st = SR.solve_stats ~core:Simplex.Sparse (beale ()) in
+            let result, st = SR.solve_stats (beale ()) in
             (match result with
              | SR.Optimal { objective; _ } ->
                Alcotest.(check bool) "still the optimum" true
@@ -379,7 +372,7 @@ let anticycling_tests =
         Alcotest.(check bool) "lp.simplex.bland_fallbacks ticked" true
           (counter_value "lp.simplex.bland_fallbacks" > before));
     t "benign instance: the Bland fallback never engages" (fun () ->
-        let result, st = SR.solve_stats ~core:Simplex.Sparse (benign ()) in
+        let result, st = SR.solve_stats (benign ()) in
         (match result with
          | SR.Optimal { objective; _ } ->
            Alcotest.(check bool) "optimum 12" true
@@ -482,7 +475,7 @@ let robustness_tests =
             (Array.to_list (Array.map (fun x -> (Rat.one, x)) xs));
           pr
         in
-        let _, st_default = SR.solve_stats ~core:Simplex.Sparse (p ()) in
+        let _, st_default = SR.solve_stats (p ()) in
         let before = counter_value "lp.simplex.refactorizations" in
         let saved_tol = Simplex.tuning.Simplex.drift_tol in
         let saved_every = Simplex.tuning.Simplex.drift_check_every in
@@ -496,7 +489,7 @@ let robustness_tests =
             Simplex.tuning.Simplex.drift_tol <- saved_tol;
             Simplex.tuning.Simplex.drift_check_every <- saved_every)
           (fun () ->
-            let result, st_forced = SR.solve_stats ~core:Simplex.Sparse (p ()) in
+            let result, st_forced = SR.solve_stats (p ()) in
             (match result with
              | SR.Optimal _ -> ()
              | _ -> Alcotest.fail "expected optimal");
@@ -508,7 +501,7 @@ let robustness_tests =
         Alcotest.(check bool) "lp.simplex.refactorizations ticked" true
           (counter_value "lp.simplex.refactorizations" > before));
     t "sparse solves record factorization effort in stats" (fun () ->
-        let _, st = SR.solve_stats ~core:Simplex.Sparse (transportation ()) in
+        let _, st = SR.solve_stats (transportation ()) in
         Alcotest.(check bool) "refactorized at least once" true
           (st.SR.refactorizations >= 1);
         Alcotest.(check bool) "eta peak observed" true (st.SR.eta_peak > 0))
