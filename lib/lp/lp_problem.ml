@@ -54,17 +54,8 @@ module Make (F : Field.S) = struct
       terms;
     p.constrs <- { terms; op; rhs; label } :: p.constrs
 
-  (** Remove the most recently added constraint.  With {!add_constraint}
-      this gives a push/pop discipline: branch & bound pushes a branching
-      row before recursing into a child and pops it on the way out, so one
-      mutable problem serves the whole search tree. *)
-  let pop_constraint p =
-    match p.constrs with
-    | [] -> invalid_arg "Lp_problem.pop_constraint: no constraints"
-    | _ :: rest -> p.constrs <- rest
-
   (** An independent copy: mutating the copy (adding variables or
-      constraints, popping rows) never affects the original.  O(1) — the
+      constraints) never affects the original.  O(1) — the
       record fields are immutable lists, so they are shared. *)
   let copy p =
     { nvars = p.nvars; names = p.names; lowers = p.lowers; uppers = p.uppers;

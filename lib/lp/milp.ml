@@ -8,11 +8,10 @@
     for DART's card-minimality objective, which is a sum of binaries) the
     bound test is sharpened to [ceil(relaxation) >= incumbent].
 
-    Branching is expressed as appended rows ([x <= floor] / [x >= ceil]) on
-    one mutable working problem, pushed before recursing into a child and
-    popped on the way out.  Appended rows leave the parent's columns and
-    rows untouched, so each child re-solves warm from its parent's optimal
-    basis ({!Simplex.Make.solve_warm}): a short dual-simplex phase instead
+    The search passes {!Simplex.Make.node}s down: the root is a cold
+    solve, and each child is its parent node plus one branching row
+    ([x <= floor] or [x >= ceil], {!Simplex.Make.branch}), re-solved warm
+    from the parent's optimal basis — a short dual-simplex phase instead
     of two cold phases.  A stalled dual phase falls back to a cold solve
     (counted in [warm_fallbacks]), so warm starts never change the answer.
 
@@ -21,20 +20,6 @@
 
 module Obs = Dart_obs.Obs
 module Cancel = Dart_resilience.Cancel
-
-(** One sampled branch-and-bound node, in float space (converted with
-    [F.to_float] so the log is field-agnostic and cheap to serialize).
-    Times are microseconds since the [solve] call started. *)
-type node_event = {
-  ne_t_us : float;            (** elapsed since solve start *)
-  ne_node : int;              (** 1-based node number (exploration order) *)
-  ne_depth : int;
-  ne_open : int;              (** frontier size, this node excluded *)
-  ne_incumbent : float option;(** incumbent objective when the node closed *)
-  ne_bound : float;           (** this node's relaxation objective *)
-  ne_gap : float option;      (** relative gap vs the root bound, when an
-                                  incumbent exists *)
-}
 
 module Make (F : Field.S) = struct
   module P = Lp_problem.Make (F)
@@ -61,13 +46,9 @@ module Make (F : Field.S) = struct
                                found before the abort *)
     phases : Obs.Phases.t;
         (** exclusive wall-clock attribution summed over every node
-            relaxation (simplex ["phase1"]/["phase2"]/["dual"]/["snapshot"]
-            and ["setup"], and the kernels
-            ["factor"]/["ftran"]/["btran"]/["price"]) *)
-    node_log : node_event list;
-        (** bounded, decimated sample of the search (exploration order);
-            incumbent-improving nodes are always offered with [force] so
-            the convergence staircase survives decimation *)
+            relaxation (simplex ["phase1"]/["phase2"]/["dual"] and
+            ["setup"], and the kernels ["factor"]/["ftran"]/["btran"]/
+            ["price"]) *)
     gap_timeline : (float * float) list;
         (** [(elapsed_us, relative gap)] — how the incumbent closed on the
             root bound over time.  Non-empty iff an incumbent was found.
@@ -91,7 +72,7 @@ module Make (F : Field.S) = struct
   let min_compare a b = if F.compare a b <= 0 then a else b
 
   let solve ?(max_nodes = 1_000_000) ?(integral_objective = false)
-      ?(cancel = Cancel.none) ?(warm = true) (p : P.t)
+      ?(cancel = Cancel.none) (p : P.t)
       : outcome =
     Obs.span "milp.solve"
       ~attrs:[ ("vars", Obs.Int (P.num_vars p)) ]
@@ -103,34 +84,13 @@ module Make (F : Field.S) = struct
     let warm_starts = ref 0 in
     let warm_fallbacks = ref 0 in
     (* Convergence instrumentation: per-phase wall-clock merged up from
-       every relaxation, a bounded node log, and the gap-over-time series.
+       every relaxation, and the gap-over-time series.
        All of it is owned data (no sink required), so a caller asking for a
        solve report gets one even with observability off. *)
     let t0 = Obs.now_us () in
     let phases = Obs.Phases.create () in
     let gap_tl = Obs.Timeline.create () in
     let root_bound = ref None in   (* float; integrality-sharpened *)
-    let open_count = ref 1 in      (* frontier size incl. the node in hand *)
-    let nl_cap = 256 in
-    let nl_buf = ref [] (* newest first *) in
-    let nl_n = ref 0 and nl_stride = ref 1 and nl_seen = ref 0 in
-    let nl_record ~force ev =
-      let admit = force || !nl_seen mod !nl_stride = 0 in
-      incr nl_seen;
-      if admit then begin
-        if !nl_n >= nl_cap then begin
-          (* Same deterministic decimation as {!Obs.Timeline}: drop every
-             other retained event (keeping the oldest of each pair) and
-             double the admission stride. *)
-          let kept = List.filteri (fun i _ -> i mod 2 = 0) (List.rev !nl_buf) in
-          nl_buf := List.rev kept;
-          nl_n := List.length kept;
-          nl_stride := !nl_stride * 2
-        end;
-        nl_buf := ev :: !nl_buf;
-        incr nl_n
-      end
-    in
     let rel_gap inc_f =
       match !root_bound with
       | None -> None
@@ -138,25 +98,19 @@ module Make (F : Field.S) = struct
         let g = if minimize then inc_f -. b else b -. inc_f in
         Some (Float.max 0.0 (g /. Float.max 1.0 (Float.abs inc_f)))
     in
-    (* One mutable working problem for the whole tree: an O(1) copy, so the
-       caller's problem is never disturbed. *)
-    let q = P.copy p in
-    let relax ~from =
-      if warm then begin
-        let w = S.solve_warm ~cancel ?from q in
-        pivots := !pivots + w.S.stats.S.pivots;
-        dual_pivots := !dual_pivots + w.S.stats.S.dual_pivots;
-        Obs.Phases.merge_into ~dst:phases w.S.stats.S.phases;
-        if w.S.warm_used then incr warm_starts;
-        if w.S.fell_back then incr warm_fallbacks;
-        (w.S.result, w.S.snapshot)
-      end
-      else begin
-        let result, st = S.solve_stats ~cancel q in
-        pivots := !pivots + st.S.pivots;
-        Obs.Phases.merge_into ~dst:phases st.S.phases;
-        (result, None)
-      end
+    (* A node's relaxation: the root cold, a child warm from [parent]. *)
+    let relax parent =
+      let w =
+        match parent with
+        | None -> S.solve_node ~cancel p
+        | Some (node, row) -> S.branch ~cancel node row
+      in
+      pivots := !pivots + w.S.stats.S.pivots;
+      dual_pivots := !dual_pivots + w.S.stats.S.dual_pivots;
+      Obs.Phases.merge_into ~dst:phases w.S.stats.S.phases;
+      if w.S.warm_used then incr warm_starts;
+      if w.S.fell_back then incr warm_fallbacks;
+      (w.S.result, w.S.node)
     in
     let incumbent = ref None in (* (objective, assignment) *)
     let better_than_incumbent obj =
@@ -192,7 +146,7 @@ module Make (F : Field.S) = struct
     let truncated = ref false in
     let any_relaxation_unbounded = ref false in
     let root_infeasible = ref false in
-    let rec explore ~from depth =
+    let rec explore parent depth =
       if !nodes >= max_nodes then truncated := true
       else begin
         (* Node-entry cancellation point; {!Simplex} also polls inside
@@ -200,11 +154,10 @@ module Make (F : Field.S) = struct
            the incumbent ref survives for anytime degradation. *)
         Cancel.check cancel;
         incr nodes;
-        open_count := !open_count - 1;
         Obs.Metrics.incr m_nodes;
         if Obs.enabled () then
           Obs.log Debug "milp.node" ~attrs:[ ("depth", Obs.Int depth) ];
-        match relax ~from with
+        match relax parent with
         | S.Infeasible, _ ->
           Obs.Metrics.incr m_prune_infeasible;
           if depth = 0 then root_infeasible := true
@@ -213,7 +166,7 @@ module Make (F : Field.S) = struct
              unbounded or infeasible; we report unbounded conservatively. *)
           Obs.Metrics.incr m_prune_unbounded;
           any_relaxation_unbounded := true
-        | S.Optimal { objective; assignment }, snap ->
+        | S.Optimal { objective; assignment }, node ->
           if depth = 0 then begin
             (* The root relaxation is the global dual bound of the whole
                search (DFS never revisits it); with an integral objective it
@@ -244,41 +197,28 @@ module Make (F : Field.S) = struct
               end
             | Some _ -> ()
           end;
-          let inc_f = Option.map (fun (o, _) -> F.to_float o) !incumbent in
-          let gap = Option.bind inc_f rel_gap in
-          let el = Float.max 0.0 (Obs.now_us () -. t0) in
-          nl_record ~force:!improved
-            { ne_t_us = el; ne_node = !nodes; ne_depth = depth;
-              ne_open = !open_count; ne_incumbent = inc_f;
-              ne_bound = F.to_float objective; ne_gap = gap };
-          (match gap with
-           | Some g -> Obs.Timeline.record gap_tl ~elapsed_us:el ~force:!improved g
+          (match Option.bind !incumbent (fun (o, _) -> rel_gap (F.to_float o)) with
+           | Some g ->
+             Obs.Timeline.record gap_tl
+               ~elapsed_us:(Float.max 0.0 (Obs.now_us () -. t0))
+               ~force:!improved g
            | None -> ());
           (match frac with
            | None -> ()
            | Some (v, x, _) ->
-             let fl = F.floor x and ce = F.ceil x in
-             (* Push the branching row, recurse, pop it on the way out —
-                exception-safe so cancellation unwinds cleanly and the
-                working problem stays prefix-compatible with every live
-                ancestor snapshot. *)
-             let branch op rhs =
-               P.add_constraint ~label:"branch" q [ (F.one, v) ] op rhs;
-               Fun.protect
-                 ~finally:(fun () -> P.pop_constraint q)
-                 (fun () -> explore ~from:snap (depth + 1))
-             in
-             let down () = branch Lp_problem.Le fl in
-             let up () = branch Lp_problem.Ge ce in
-             open_count := !open_count + 2;
+             (* An optimal relaxation always comes with its node. *)
+             let node = Option.get node in
+             let branch row = explore (Some (node, row)) (depth + 1) in
+             let down () = branch (S.At_most (v, F.floor x)) in
+             let up () = branch (S.At_least (v, F.ceil x)) in
              (* Explore the branch nearest the fractional value first. *)
-             let frac = F.sub x fl in
+             let frac = F.sub x (F.floor x) in
              if F.compare frac (F.sub F.one frac) <= 0 then begin down (); up () end
              else begin up (); down () end)
       end
     in
     let cancelled = ref false in
-    (try explore ~from:None 0
+    (try explore None 0
      with Cancel.Cancelled -> cancelled := true);
     Obs.add_attr "nodes" (Obs.Int !nodes);
     Obs.add_attr "pivots" (Obs.Int !pivots);
@@ -302,7 +242,7 @@ module Make (F : Field.S) = struct
         simplex_pivots = !pivots; dual_pivots = !dual_pivots;
         warm_starts = !warm_starts; warm_fallbacks = !warm_fallbacks;
         cancelled = !cancelled;
-        phases; node_log = List.rev !nl_buf;
+        phases;
         gap_timeline = Obs.Timeline.points gap_tl;
         root_bound = !root_bound; final_gap }
     in

@@ -9,10 +9,14 @@
     guaranteed), and each iteration costs O(nnz) instead of O(m·n).
 
     Around that core: a pluggable float/rational field, cooperative
-    cancellation polling, snapshot warm-starts with a bounded dual-simplex
-    repair phase for appended [<=]/[>=] rows, and per-phase wall-clock
-    attribution.  Any structural mismatch between a snapshot and the
-    problem silently falls back to a cold solve — a stale snapshot can
+    cancellation polling, per-phase wall-clock attribution, and the
+    branch & bound node as the unit of warm restart.  An optimal solve
+    returns a {!Make.node} (its problem, standard form and final basis);
+    {!Make.branch} builds a child from it and one [x_v <= b] / [x_v >= b]
+    row, by appending that row and its slack to the parent's standard
+    form and repairing primal feasibility with a bounded dual-simplex
+    phase.  A dual phase that stalls or loses the factorization falls
+    back to a cold solve of the child's problem — a warm restart can
     cost time but never correctness.  A cold solve whose factorization
     loses the basis raises {!Make.Numerical_trouble} or
     {!Basis_lu.Make.Singular}; only an inexact field can: exact rationals
@@ -60,9 +64,9 @@ module Make (F : Field.S) = struct
   (** Effort counters for one [solve] call (satellite of the dart_obs PR:
       solver work must be measurable, not silent).  [phases] attributes the
       wall-clock time of the same call across the outer phases ["phase1"],
-      ["phase2"], ["dual"] and ["snapshot"], the inner kernels
-      ["factor"], ["ftran"], ["btran"] and ["price"], and ["setup"] (the
-      rest: standard-form assembly, snapshot checks, solution decoding),
+      ["phase2"] and ["dual"], the inner kernels ["factor"], ["ftran"],
+      ["btran"] and ["price"], and ["setup"] (the rest: standard-form
+      assembly, solution decoding),
       so a profile can say not just how many pivots were spent but
       {e where} the microseconds went.  Phase times are exclusive: an
       outer phase's share excludes the phases timed inside it, so the
@@ -89,7 +93,6 @@ module Make (F : Field.S) = struct
   let phase_phase1 = "phase1"
   let phase_phase2 = "phase2"
   let phase_dual = "dual"
-  let phase_snapshot = "snapshot"
   let phase_factor = "factor"
   let phase_ftran = "ftran"
   let phase_btran = "btran"
@@ -110,7 +113,6 @@ module Make (F : Field.S) = struct
   let h_phase1_ms = Obs.Metrics.histogram "lp.simplex.phase1_ms"
   let h_phase2_ms = Obs.Metrics.histogram "lp.simplex.phase2_ms"
   let h_dual_ms = Obs.Metrics.histogram "lp.simplex.dual_ms"
-  let h_snapshot_ms = Obs.Metrics.histogram "lp.simplex.snapshot_ms"
   let h_factor_ms = Obs.Metrics.histogram "lp.simplex.factor_ms"
   let h_ftran_ms = Obs.Metrics.histogram "lp.simplex.ftran_ms"
   let h_btran_ms = Obs.Metrics.histogram "lp.simplex.btran_ms"
@@ -123,7 +125,7 @@ module Make (F : Field.S) = struct
         if Obs.Phases.count st.phases name > 0 then
           Obs.Metrics.observe h (Obs.Phases.total_us st.phases name /. 1000.0))
       [ (phase_phase1, h_phase1_ms); (phase_phase2, h_phase2_ms);
-        (phase_dual, h_dual_ms); (phase_snapshot, h_snapshot_ms);
+        (phase_dual, h_dual_ms);
         (phase_factor, h_factor_ms); (phase_ftran, h_ftran_ms);
         (phase_btran, h_btran_ms); (phase_price, h_price_ms) ];
     if st.eta_peak > 0 then Obs.Metrics.observe h_eta_len (float_of_int st.eta_peak)
@@ -135,35 +137,27 @@ module Make (F : Field.S) = struct
     | Reflected of int * F.t      (* x = hi - u *)
     | Split of int * int          (* x = u_pos - u_neg *)
 
-  (** Final basis of a solve: the basis header plus the captured basic
-      values and reduced costs (enough to check the warm-start invariants
-      without refactorizing; the warm path refactorizes and recomputes
-      both exactly anyway). *)
-  type basis_state = {
-    z_basis : int array;          (* row slot -> basic column *)
-    z_nstd : int;
-    z_ncols : int;                (* full extended width (= |z_dj|) *)
-    z_base : int;                 (* problem rows covered by the spec prefix *)
-    z_ncols0 : int;               (* width before appended-row slacks *)
-    z_is_artificial : bool array;
-    z_xb : F.t array;             (* basic values by row slot *)
-    z_dj : F.t array;             (* reduced costs at capture *)
-  }
+  (** A branching row on one original variable: [x_v <= b] or
+      [x_v >= b].  Only inequalities: an equality row has no slack to
+      make basic. *)
+  type bound_row = At_most of int * F.t | At_least of int * F.t
 
-  (** The final state of an optimal solve, sufficient to warm-start a
-      re-solve of the same problem extended by appended inequality rows.
-      Everything needed to validate compatibility is carried along
-      ([s_lowers]/[s_uppers]/[s_objective]/[s_constrs]) so a mismatched
-      snapshot is detected, never trusted. *)
-  type snapshot = {
-    s_nvars : int;
-    s_lowers : F.t option array;
-    s_uppers : F.t option array;
-    s_minimize : bool;
-    s_objective : (F.t * int) list;
-    s_constrs : P.constr array;       (* problem rows covered by the basis *)
-    s_encodings : encoding array;
-    s_state : basis_state;
+  (** A branch & bound node: what an optimal solve leaves for its
+      children.  It holds the problem it solved, its standard form (the
+      variable encodings, the row terms over standard columns and the
+      rhs, and which columns are artificial) and its final basis with the
+      basic values and reduced costs.  A child's standard form is this
+      one plus its branch row, so a node is built only from its parent
+      ({!branch}) or by a cold solve ({!solve_node}). *)
+  type node = {
+    n_problem : P.t;
+    n_encodings : encoding array;
+    n_rows : (int * F.t) list array;  (* row slot -> (column, coef) terms *)
+    n_rhs : F.t array;
+    n_is_artificial : bool array;     (* one flag per standard column *)
+    n_basis : int array;              (* row slot -> basic column *)
+    n_xb : F.t array;                 (* basic values by row slot *)
+    n_dj : F.t array;                 (* reduced costs *)
   }
 
   (* Substitute the variable encodings into a term list.
@@ -197,82 +191,21 @@ module Make (F : Field.S) = struct
     let objective = P.eval_terms (P.objective p) assignment in
     Optimal { objective; assignment }
 
-  (** Does the snapshot's basis satisfy the warm-start invariants?  Primal:
+  (** Does the node's basis satisfy the warm-start invariants?  Primal:
       every basic value is non-negative.  Dual: every non-artificial
       reduced cost is non-negative.  Both hold after any optimal solve; the
       warm path relies on the dual half.  Exposed for the property tests
       that pin the invariants. *)
-  let snapshot_primal_feasible (s : snapshot) =
-    Array.for_all (fun x -> F.compare x F.zero >= 0) s.s_state.z_xb
+  let node_primal_feasible (n : node) =
+    Array.for_all (fun x -> F.compare x F.zero >= 0) n.n_xb
 
-  let snapshot_dual_feasible (s : snapshot) =
-    let z = s.s_state in
+  let node_dual_feasible (n : node) =
     let ok = ref true in
-    for j = 0 to z.z_ncols - 1 do
-      if (not z.z_is_artificial.(j)) && F.compare z.z_dj.(j) F.zero < 0 then
-        ok := false
-    done;
+    Array.iteri
+      (fun j d ->
+        if (not n.n_is_artificial.(j)) && F.compare d F.zero < 0 then ok := false)
+      n.n_dj;
     !ok
-
-  (** Number of appended rows a problem adds on top of a snapshot (only
-      meaningful when {!compatible}). *)
-  let snapshot_extra_rows (s : snapshot) (p : P.t) =
-    P.num_constraints p - Array.length s.s_constrs
-
-  (* ------------------------------------------------------------------ *)
-  (* Snapshot compatibility                                              *)
-  (* ------------------------------------------------------------------ *)
-
-  let bound_equal a b =
-    match a, b with
-    | None, None -> true
-    | Some x, Some y -> F.equal x y
-    | _ -> false
-
-  let rec terms_equal a b =
-    match a, b with
-    | [], [] -> true
-    | (c1, v1) :: ra, (c2, v2) :: rb ->
-      v1 = v2 && F.equal c1 c2 && terms_equal ra rb
-    | _ -> false
-
-  let constr_equal (c1 : P.constr) (c2 : P.constr) =
-    c1 == c2
-    || (c1.op = c2.op && F.equal c1.rhs c2.rhs && terms_equal c1.terms c2.terms)
-
-  (** Is [p] the snapshot's problem plus appended [<=]/[>=] rows?  Checks
-      variables, bounds, objective sense and terms, that the snapshot's
-      rows are an unchanged prefix of [p]'s rows, and that every extra row
-      is an inequality (equality rows have no slack to make basic).  Any
-      mismatch means the basis cannot be reused. *)
-  let compatible (s : snapshot) (p : P.t) =
-    P.num_vars p = s.s_nvars
-    && P.minimize p = s.s_minimize
-    && terms_equal (P.objective p) s.s_objective
-    &&
-    let lowers = P.var_lowers p and uppers = P.var_uppers p in
-    let rec bounds_ok j =
-      j >= s.s_nvars
-      || (bound_equal lowers.(j) s.s_lowers.(j)
-          && bound_equal uppers.(j) s.s_uppers.(j)
-          && bounds_ok (j + 1))
-    in
-    bounds_ok 0
-    &&
-    let constrs = P.constraints p in
-    let base = Array.length s.s_constrs in
-    Array.length constrs >= base
-    &&
-    let rec prefix_ok i =
-      i >= base || (constr_equal constrs.(i) s.s_constrs.(i) && prefix_ok (i + 1))
-    in
-    prefix_ok 0
-    &&
-    let rec extras_ok i =
-      i >= Array.length constrs
-      || (constrs.(i).op <> Lp_problem.Eq && extras_ok (i + 1))
-    in
-    extras_ok base
 
   (* ------------------------------------------------------------------ *)
   (* Standard form                                                       *)
@@ -280,9 +213,7 @@ module Make (F : Field.S) = struct
 
   (** Standard form: variable encodings over non-negative standard
       variables, and rows as sparse term lists (bound-cap rows first,
-      then constraint rows in declaration order, so the column layout of a
-      prefix problem is a prefix of any extended problem's layout — warm
-      starts append columns, never reshuffle them).  Nothing
+      then constraint rows in declaration order).  Nothing
       row-length-dense is allocated here; the solve assembles a CSC
       matrix. *)
   type spec = {
@@ -292,7 +223,7 @@ module Make (F : Field.S) = struct
     c_nstd : int;
   }
 
-  let build_spec ?limit (p : P.t) ~lowers ~uppers : spec =
+  let build_spec (p : P.t) ~lowers ~uppers : spec =
     let nvars = P.num_vars p in
     let next = ref 0 in
     let fresh () = let v = !next in incr next; v in
@@ -328,15 +259,11 @@ module Make (F : Field.S) = struct
     List.iter
       (fun (u, cap) -> add_row [ (F.one, u) ] Lp_problem.Le cap)
       (List.rev !extra_rows);
-    let constrs = P.constraints p in
-    let nconstr =
-      match limit with Some k -> k | None -> Array.length constrs
-    in
-    for i = 0 to nconstr - 1 do
-      let c = constrs.(i) in
-      let terms, adjust = encode_terms encodings c.terms in
-      add_row terms c.op (F.sub c.rhs adjust)
-    done;
+    Array.iter
+      (fun (c : P.constr) ->
+        let terms, adjust = encode_terms encodings c.terms in
+        add_row terms c.op (F.sub c.rhs adjust))
+      (P.constraints p);
     let nstd = !next in
     let slack_set = Array.make nstd false in
     List.iter (fun s -> slack_set.(s) <- true) !slack_cols;
@@ -377,20 +304,29 @@ module Make (F : Field.S) = struct
      loads. *)
   let cancel_poll_mask = 15
 
+  (* A standard form ready to pivot on: the row terms it was assembled
+     from (a child extends them), their CSC matrix and its transpose. *)
   type form = {
+    frows : (int * F.t) list array; (* row slot -> (column, coef) terms *)
     fa : F.t Sparse_mat.t;        (* m x ncols, artificial columns included *)
     fat : F.t Sparse_mat.t;       (* transpose of [fa]: column i = row i *)
-    fb : F.t array;               (* rhs (base rows sign-normalized) *)
-    fnstd : int;
+    fb : F.t array;               (* rhs *)
+    fenc : encoding array;
     fncols : int;
-    fbase : int;                  (* problem rows covered by the spec prefix *)
-    fncols0 : int;                (* fncols before appended-row slacks *)
     fis_artificial : bool array;
   }
 
+  let make_form ~encodings ~rows ~rhs ~is_artificial =
+    let m = Array.length rhs and ncols = Array.length is_artificial in
+    let fa =
+      Sparse_mat.of_rows ~zero:F.zero ~is_zero:F.is_zero ~add:F.add ~m
+        ~n:ncols rows
+    in
+    { frows = rows; fa; fat = Sparse_mat.transpose ~zero:F.zero fa; fb = rhs;
+      fenc = encodings; fncols = ncols; fis_artificial = is_artificial }
+
   (* Normalize signs, detect slack basics, append artificial columns.
-     Returns mutable row term lists ((col, coef), duplicates allowed) so
-     the warm path can extend them before CSC assembly. *)
+     Returns row term lists ((col, coef), duplicates allowed). *)
   let rows_of_spec (spec : spec) =
     let rows = Array.of_list spec.c_rows in
     let m = Array.length rows in
@@ -427,10 +363,6 @@ module Make (F : Field.S) = struct
         basis0.(i) <- col)
       needs_artificial;
     (row_terms, rhs, basis0, nart, nstd, ncols)
-
-  let assemble ~m ~ncols row_terms =
-    Sparse_mat.of_rows ~zero:F.zero ~is_zero:F.is_zero ~add:F.add ~m ~n:ncols
-      row_terms
 
   type state = {
     form : form;
@@ -785,29 +717,17 @@ module Make (F : Field.S) = struct
     in
     go ()
 
-  let read_solution (p : P.t) ~(encodings : encoding array) (x : state) =
+  let read_solution (p : P.t) (x : state) =
     let std = Array.make x.form.fncols F.zero in
     Array.iteri (fun r col -> std.(col) <- x.beta.(r)) x.sbasis;
-    decode_std p ~encodings std
+    decode_std p ~encodings:x.form.fenc std
 
-  let capture (p : P.t) ~(encodings : encoding array) (x : state)
-      : snapshot =
-    { s_nvars = P.num_vars p;
-      s_lowers = P.var_lowers p;
-      s_uppers = P.var_uppers p;
-      s_minimize = P.minimize p;
-      s_objective = P.objective p;
-      s_constrs = P.constraints p;
-      s_encodings = Array.copy encodings;
-      s_state =
-        { z_basis = Array.copy x.sbasis;
-          z_nstd = x.form.fnstd;
-          z_ncols = x.form.fncols;
-          z_base = x.form.fbase;
-          z_ncols0 = x.form.fncols0;
-          z_is_artificial = Array.copy x.form.fis_artificial;
-          z_xb = Array.copy x.beta;
-          z_dj = Array.copy x.dj } }
+  (* The node of an optimal solve.  The solve is over, so the node takes
+     the state's arrays as they are. *)
+  let capture (p : P.t) (x : state) : node =
+    { n_problem = p; n_encodings = x.form.fenc; n_rows = x.form.frows;
+      n_rhs = x.form.fb; n_is_artificial = x.form.fis_artificial;
+      n_basis = x.sbasis; n_xb = x.beta; n_dj = x.dj }
 
   (* Reset per-phase pricing state (the dual phase runs Bland; each primal
      phase restarts devex with a fresh reference framework). *)
@@ -818,19 +738,14 @@ module Make (F : Field.S) = struct
 
   (* --- cold solve ---------------------------------------------------- *)
 
-  let solve_with_spec (p : P.t) (spec : spec) ~st ~cancel ~want_capture
-      : result * snapshot option =
-    let row_terms, rhs, basis0, nart, nstd, ncols = rows_of_spec spec in
-    let m = Array.length rhs in
-    let fa = assemble ~m ~ncols row_terms in
+  let solve_with_spec (p : P.t) (spec : spec) ~st ~cancel
+      : result * node option =
+    let rows, rhs, basis0, nart, nstd, ncols = rows_of_spec spec in
     let form =
-      { fa; fat = Sparse_mat.transpose ~zero:F.zero fa; fb = rhs;
-        fnstd = nstd; fncols = ncols;
-        fbase = P.num_constraints p; fncols0 = ncols;
-        fis_artificial = Array.init ncols (fun j -> j >= nstd) }
+      make_form ~encodings:spec.c_encodings ~rows ~rhs
+        ~is_artificial:(Array.init ncols (fun j -> j >= nstd))
     in
     let x = new_state form basis0 ~st ~cancel in
-    let encodings = spec.c_encodings in
     (* --- phase 1 ------------------------------------------------------ *)
     let feasible =
       if nart = 0 then true
@@ -893,7 +808,7 @@ module Make (F : Field.S) = struct
       (* --- phase 2 ------------------------------------------------------ *)
       let outcome =
         Obs.Phases.time st.phases phase_phase2 (fun () ->
-            let costs = phase2_costs p ~encodings ~ncols in
+            let costs = phase2_costs p ~encodings:spec.c_encodings ~ncols in
             Array.blit costs 0 x.costs 0 ncols;
             reset_pricing x ~bland:false;
             if Lu.eta_count x.lu = 0 then refactor x else compute_dj x;
@@ -904,132 +819,84 @@ module Make (F : Field.S) = struct
       in
       match outcome with
       | Unbounded_direction -> (Unbounded, None)
-      | Finished ->
-        let result = read_solution p ~encodings x in
-        let snap =
-          if want_capture then
-            Some
-              (Obs.Phases.time st.phases phase_snapshot (fun () ->
-                   capture p ~encodings x))
-          else None
-        in
-        (result, snap)
+      | Finished -> (read_solution p x, Some (capture p x))
     end
 
-  (* --- warm solve ---------------------------------------------------- *)
+  (* --- warm restart of a child node -------------------------------- *)
 
-  (* Rebuild the snapshot's standard form deterministically from the
-     ORIGINAL prefix problem ([z_base] rows — not every row the snapshot
-     covers: a snapshot captured by a warm solve already carries appended
-     rows, and folding those into the spec would shift the column
-     layout), re-append every later constraint with its slack at
-     [ncols0 + e] (constraints are append-only, so the parent's appended
-     slacks land back on the columns its basis references), refactorize
-     the extended basis — dual feasibility is inherited exactly: the
-     extended basis is block-triangular, the new rows' multipliers are
-     zero, and every old reduced cost is unchanged — then repair primal
-     feasibility with the budget-bounded dual phase. *)
-  let warm_resolve (s : snapshot) (p : P.t) ~st ~budget ~cancel
-      : (result * snapshot option) option =
-    let z = s.s_state in
-    let constrs = P.constraints p in
-    let base = z.z_base in
-    let kpar = Array.length s.s_constrs - base in
-    let k = Array.length constrs - base in
-    let spec = build_spec ~limit:base p ~lowers:s.s_lowers ~uppers:s.s_uppers in
-    let row_terms0, rhs0, _basis0, _nart, nstd, ncols0 = rows_of_spec spec in
-    let m0 = Array.length rhs0 in
-    if nstd <> z.z_nstd || ncols0 <> z.z_ncols0
-       || Array.length z.z_basis <> m0 + kpar
-    then None
+  (* The child's standard form is its parent's plus one row: the branch
+     row over the parent's encodings, with a fresh slack at the parent's
+     width, so every column the parent's basis references keeps its
+     index.  The parent's basis plus that slack is a basis of the child;
+     refactorize it — dual feasibility is inherited exactly: the extended
+     basis is block-triangular, the new row's multiplier is zero, and
+     every old reduced cost is unchanged — then repair primal feasibility
+     with the budget-bounded dual phase.  [None] asks for a cold solve. *)
+  let warm_child (parent : node) (p : P.t) row ~st ~budget ~cancel
+      : (result * node option) option =
+    let v, b, slack_coef =
+      match row with
+      | At_most (v, b) -> (v, b, F.one)
+      | At_least (v, b) -> (v, b, F.neg F.one)
+    in
+    let encodings = parent.n_encodings in
+    let terms, adjust = encode_terms encodings [ (F.one, v) ] in
+    let slack = Array.length parent.n_is_artificial in
+    let row_terms = (slack, slack_coef) :: List.map (fun (c, j) -> (j, c)) terms in
+    let form =
+      make_form ~encodings
+        ~rows:(Array.append parent.n_rows [| row_terms |])
+        ~rhs:(Array.append parent.n_rhs [| F.sub b adjust |])
+        ~is_artificial:(Array.append parent.n_is_artificial [| false |])
+    in
+    let ncols = form.fncols in
+    let x =
+      new_state form (Array.append parent.n_basis [| slack |]) ~st ~cancel
+    in
+    let costs = phase2_costs p ~encodings ~ncols in
+    Array.blit costs 0 x.costs 0 ncols;
+    reset_pricing x ~bland:true;
+    refactor x;
+    (* Inherited dual feasibility; verify cheaply in case the parent's
+       basis predates numeric drift (floats). *)
+    let dual_ok = ref true in
+    for j = 0 to ncols - 1 do
+      if (not form.fis_artificial.(j)) && F.compare x.dj.(j) F.zero < 0 then
+        dual_ok := false
+    done;
+    if not !dual_ok then None
     else begin
-      let m = m0 + k and ncols = ncols0 + k in
-      let row_terms = Array.make m [] in
-      Array.blit row_terms0 0 row_terms 0 m0;
-      let rhs = Array.make m F.zero in
-      Array.blit rhs0 0 rhs 0 m0;
-      for e = 0 to k - 1 do
-        let c = constrs.(base + e) in
-        let terms, adjust = encode_terms s.s_encodings c.terms in
-        let slack = ncols0 + e in
-        let sterm =
-          match c.op with
-          | Lp_problem.Le -> (slack, F.one)
-          | Lp_problem.Ge -> (slack, F.neg F.one)
-          | Lp_problem.Eq ->
-            (* Rows past [s_constrs] are screened by [compatible]; rows
-               the snapshot already covers passed that screen when they
-               were first appended. *)
-            assert false
-        in
-        row_terms.(m0 + e) <- sterm :: List.map (fun (cf, v) -> (v, cf)) terms;
-        rhs.(m0 + e) <- F.sub c.rhs adjust
-      done;
-      let is_artificial = Array.make ncols false in
-      Array.blit z.z_is_artificial 0 is_artificial 0
-        (Array.length z.z_is_artificial);
-      let fa = assemble ~m ~ncols row_terms in
-      let form =
-        { fa; fat = Sparse_mat.transpose ~zero:F.zero fa; fb = rhs;
-          fnstd = nstd; fncols = ncols;
-          fbase = base; fncols0 = ncols0; fis_artificial = is_artificial }
+      let outcome =
+        Obs.Phases.time st.phases phase_dual (fun () ->
+            let dp = ref 0 in
+            let outcome = dual_iterate x ~pivots:dp ~budget in
+            st.dual_pivots <- st.dual_pivots + !dp;
+            outcome)
       in
-      let basis = Array.make m (-1) in
-      Array.blit z.z_basis 0 basis 0 (m0 + kpar);
-      for e = kpar to k - 1 do basis.(m0 + e) <- ncols0 + e done;
-      let x = new_state form basis ~st ~cancel in
-      let costs = phase2_costs p ~encodings:s.s_encodings ~ncols in
-      Array.blit costs 0 x.costs 0 ncols;
-      reset_pricing x ~bland:true;
-      refactor x;
-      (* Inherited dual feasibility; verify cheaply in case the snapshot
-         predates numeric drift (floats). *)
-      let dual_ok = ref true in
-      for j = 0 to ncols - 1 do
-        if (not is_artificial.(j)) && F.compare x.dj.(j) F.zero < 0 then
-          dual_ok := false
-      done;
-      if not !dual_ok then None
-      else begin
-        let outcome =
-          Obs.Phases.time st.phases phase_dual (fun () ->
-              let dp = ref 0 in
-              let outcome = dual_iterate x ~pivots:dp ~budget in
-              st.dual_pivots <- st.dual_pivots + !dp;
-              outcome)
+      match outcome with
+      | Stalled -> None
+      | Dual_infeasible_row -> Some (Infeasible, None)
+      | Primal_feasible ->
+        (* Optimality cleanup: exact arithmetic performs zero pivots
+           here; floats absorb residual negative reduced costs. *)
+        let cleanup =
+          Obs.Phases.time st.phases phase_phase2 (fun () ->
+              reset_pricing x ~bland:false;
+              let p2 = ref 0 in
+              let cleanup = iterate x ~allow_artificial:false ~pivots:p2 in
+              st.phase2_pivots <- st.phase2_pivots + !p2;
+              cleanup)
         in
-        match outcome with
-        | Stalled -> None
-        | Dual_infeasible_row -> Some (Infeasible, None)
-        | Primal_feasible ->
-          (* Optimality cleanup: exact arithmetic performs zero pivots
-             here; floats absorb residual negative reduced costs. *)
-          let cleanup =
-            Obs.Phases.time st.phases phase_phase2 (fun () ->
-                reset_pricing x ~bland:false;
-                let p2 = ref 0 in
-                let cleanup = iterate x ~allow_artificial:false ~pivots:p2 in
-                st.phase2_pivots <- st.phase2_pivots + !p2;
-                cleanup)
-          in
-          (match cleanup with
-           | Unbounded_direction -> None
-           | Finished ->
-             let result = read_solution p ~encodings:s.s_encodings x in
-             let snap =
-               Obs.Phases.time st.phases phase_snapshot (fun () ->
-                   capture p ~encodings:s.s_encodings x)
-             in
-             Some (result, Some snap))
-      end
+        (match cleanup with
+         | Unbounded_direction -> None
+         | Finished -> Some (read_solution p x, Some (capture p x)))
     end
 
   (* ------------------------------------------------------------------ *)
   (* Entry points                                                        *)
   (* ------------------------------------------------------------------ *)
 
-  let solve_cold (p : P.t) ~st ~cancel ~want_capture
-      : result * snapshot option =
+  let solve_cold (p : P.t) ~st ~cancel : result * node option =
     let nvars = P.num_vars p in
     let lowers = P.var_lowers p and uppers = P.var_uppers p in
     let infeasible_bounds =
@@ -1042,92 +909,70 @@ module Make (F : Field.S) = struct
       go 0
     in
     if infeasible_bounds then (Infeasible, None)
-    else
-      solve_with_spec p (build_spec p ~lowers ~uppers) ~st ~cancel ~want_capture
+    else solve_with_spec p (build_spec p ~lowers ~uppers) ~st ~cancel
 
-  let solve_stats_body ~cancel (p : P.t) : result * stats =
-    let st = fresh_stats () in
-    Obs.Metrics.incr m_solves;
-    let result, _ =
-      Obs.Phases.time st.phases phase_setup (fun () ->
-          solve_cold p ~st ~cancel ~want_capture:false)
-    in
-    st.pivots <- st.phase1_pivots + st.phase2_pivots;
-    Obs.Metrics.add m_pivots st.pivots;
-    observe_phase_histograms st;
-    (result, st)
-
-  let solve_stats ?(cancel = Cancel.none) (p : P.t) : result * stats =
-    Obs.span "simplex.solve" (fun () ->
-        let ((_, st) as r) = solve_stats_body ~cancel p in
-        Obs.add_attr "pivots" (Obs.Int st.pivots);
-        r)
-
-  let solve ?cancel (p : P.t) : result = fst (solve_stats ?cancel p)
-
-  (** Outcome of a {!solve_warm} call.  [warm_used] means the result came
-      from the warm path (snapshot accepted, dual phase converged);
-      [fell_back] means a snapshot was offered but a cold solve produced
-      the result (incompatible snapshot, dual-phase stall, or drift).
-      [snapshot] captures the final basis of an optimal solve — warm or
-      cold — for the next re-solve. *)
-  type warm_outcome = {
+  (** Outcome of a {!solve_node} or {!branch} call.  [warm_used] means the
+      result came from the warm path (the dual phase converged);
+      [fell_back] means a warm restart was tried but a cold solve produced
+      the result (dual-phase stall or drift).  [node] is [Some] exactly
+      when [result] is optimal: the point to {!branch} from. *)
+  type outcome = {
     result : result;
     stats : stats;
     warm_used : bool;
     fell_back : bool;
-    snapshot : snapshot option;
+    node : node option;
   }
 
-  (** Solve [p], optionally warm-starting [?from] a snapshot of a previous
-      optimal solve of a prefix problem.  The default dual-pivot budget
-      scales with the basis height; a stall falls back to a cold solve, so
-      a warm start can never yield a different answer than a cold one —
-      only fewer (or, pathologically, more) pivots. *)
-  let solve_warm ?(cancel = Cancel.none) ?from ?max_dual_pivots (p : P.t)
-      : warm_outcome =
+  (* One solve's bookkeeping: a span, the counters, and the ["setup"]
+     phase charged with whatever the inner phases do not time. *)
+  let instrumented f : outcome =
     Obs.span "simplex.solve" (fun () ->
         let st = fresh_stats () in
         Obs.Metrics.incr m_solves;
-        let warm_used = ref false and fell_back = ref false in
-        let cold () = solve_cold p ~st ~cancel ~want_capture:true in
-        let result, snapshot =
-          Obs.Phases.time st.phases phase_setup @@ fun () ->
-          match from with
-          | None -> cold ()
-          | Some s ->
-            if not (compatible s p) then begin
-              fell_back := true;
-              cold ()
-            end
-            else begin
-              let budget =
-                match max_dual_pivots with
-                | Some b -> b
-                | None ->
-                  64 + (4 * (Array.length s.s_state.z_basis
-                             + snapshot_extra_rows s p))
-              in
-              let attempt =
-                try warm_resolve s p ~st ~budget ~cancel
-                with Lu.Singular | Numerical_trouble -> None
-              in
-              match attempt with
-              | Some (result, snap) ->
-                warm_used := true;
-                Obs.Metrics.incr m_warm_starts;
-                (result, snap)
-              | None ->
-                fell_back := true;
-                cold ()
-            end
+        let (result, node), warm_used, fell_back =
+          Obs.Phases.time st.phases phase_setup (fun () -> f st)
         in
         st.pivots <- st.phase1_pivots + st.phase2_pivots + st.dual_pivots;
         Obs.Metrics.add m_pivots st.pivots;
         if st.dual_pivots > 0 then Obs.Metrics.add m_dual_pivots st.dual_pivots;
         observe_phase_histograms st;
         Obs.add_attr "pivots" (Obs.Int st.pivots);
-        if !warm_used then Obs.add_attr "warm" (Obs.Bool true);
-        { result; stats = st; warm_used = !warm_used; fell_back = !fell_back;
-          snapshot })
+        if warm_used then Obs.add_attr "warm" (Obs.Bool true);
+        { result; stats = st; warm_used; fell_back; node })
+
+  (** Cold-solve [p]; an optimal solve returns the root node of a search. *)
+  let solve_node ?(cancel = Cancel.none) (p : P.t) : outcome =
+    instrumented (fun st -> (solve_cold p ~st ~cancel, false, false))
+
+  let solve_stats ?cancel (p : P.t) : result * stats =
+    let o = solve_node ?cancel p in
+    (o.result, o.stats)
+
+  let solve ?cancel (p : P.t) : result = fst (solve_stats ?cancel p)
+
+  (** Solve the child of [parent] that adds [row] to its problem, warm
+      from the parent's basis.  The dual-pivot budget scales with the
+      basis height; a stall falls back to a cold solve of the child's
+      problem, so a warm start can never yield a different answer than a
+      cold one — only fewer (or, pathologically, more) pivots. *)
+  let branch ?(cancel = Cancel.none) (parent : node) (row : bound_row)
+      : outcome =
+    let p = P.copy parent.n_problem in
+    (match row with
+     | At_most (v, b) ->
+       P.add_constraint ~label:"branch" p [ (F.one, v) ] Lp_problem.Le b
+     | At_least (v, b) ->
+       P.add_constraint ~label:"branch" p [ (F.one, v) ] Lp_problem.Ge b);
+    instrumented (fun st ->
+        let budget = 64 + (4 * (Array.length parent.n_basis + 1)) in
+        let attempt =
+          try warm_child parent p row ~st ~budget ~cancel
+          with Lu.Singular | Numerical_trouble -> None
+        in
+        match attempt with
+        | Some r ->
+          Obs.Metrics.incr m_warm_starts;
+          (r, true, false)
+        | None -> (solve_cold p ~st ~cancel, false, true))
 end

@@ -457,13 +457,6 @@ let text_sink ?(min_level = Info) oc =
   in
   { emit; close = (fun () -> try flush oc with Sys_error _ -> ()) }
 
-let jsonl_sink oc =
-  let emit ev =
-    output_string oc (Json.to_string (json_of_event ev));
-    output_char oc '\n'
-  in
-  { emit; close = (fun () -> try flush oc with Sys_error _ -> ()) }
-
 let chrome_trace_sink oc =
   output_string oc "[";
   let first = ref true in
@@ -812,11 +805,7 @@ module Metrics = struct
   (* Exemplars age out so a quiet histogram does not pin a stale trace id
      forever: within the window the worst (largest) observation per
      bucket wins; past it any fresh observation replaces the slot. *)
-  let exemplar_window = ref 60_000.0
-
-  let set_exemplar_window_ms w =
-    if w <= 0.0 then invalid_arg "Obs.Metrics.set_exemplar_window_ms: window must be > 0";
-    exemplar_window := w
+  let exemplar_window_ms = 60_000.0
 
   let observe_ex ?now_ms ?trace_id h v =
     let i = slot_of h v in
@@ -835,7 +824,7 @@ module Metrics = struct
        (match h.hexemplars.(i) with
         | None -> h.hexemplars.(i) <- Some fresh
         | Some old ->
-          if now -. old.ex_ts_ms > !exemplar_window || v >= old.ex_value then
+          if now -. old.ex_ts_ms > exemplar_window_ms || v >= old.ex_value then
             h.hexemplars.(i) <- Some fresh)
      | _ -> ());
     Mutex.unlock h.hmu
@@ -847,7 +836,7 @@ module Metrics = struct
       Array.fold_right
         (fun e acc ->
           match e with
-          | Some e when now -. e.ex_ts_ms <= !exemplar_window -> e :: acc
+          | Some e when now -. e.ex_ts_ms <= exemplar_window_ms -> e :: acc
           | _ -> acc)
         h.hexemplars []
     in

@@ -11,9 +11,9 @@
        fixed-bucket histograms, updated unconditionally (an increment is a
        single in-place mutation) and dumped on demand as JSON.}
     {- {b Sinks}: pluggable consumers of span/log events — a levelled text
-       logger, a JSON-lines stream, a Chrome [trace_event] exporter for
-       flame-graph viewing ([chrome://tracing] / Perfetto), and an in-memory
-       sink for tests.}}
+       logger, a Chrome [trace_event] exporter for flame-graph viewing
+       ([chrome://tracing] / Perfetto), a per-domain flight recorder, and
+       an in-memory sink for tests.}}
 
     The fast path is "no sink installed": [span] then runs the thunk
     directly and [log] returns immediately, so instrumented hot paths cost
@@ -101,8 +101,8 @@ module Json : sig
 end
 
 val json_of_event : event -> Json.t
-(** The JSON-lines representation of an event (what {!jsonl_sink} writes,
-    one per line). *)
+(** The JSON representation of an event (one line per event in a
+    flight-recorder dump). *)
 
 (** {1 Clock}
 
@@ -135,9 +135,6 @@ type sink
 val text_sink : ?min_level:level -> out_channel -> sink
 (** Human-readable logger: log records at [min_level] and above; span
     records only when [min_level] is [Debug].  Flushes per event. *)
-
-val jsonl_sink : out_channel -> sink
-(** One JSON object per event, one per line. *)
 
 val chrome_trace_sink : out_channel -> sink
 (** Chrome [trace_event] JSON-array format: spans become complete
@@ -262,7 +259,7 @@ module Metrics : sig
       A histogram can retain, per bucket, the worst observation seen in
       the current window together with the trace id that produced it —
       one hop from a p99 number to its trace tree.  Exemplars age out
-      (default window 60 s): within the window the largest value wins;
+      (window 60 s): within the window the largest value wins;
       a stale exemplar is replaced by any fresh observation. *)
 
   type exemplar = {
@@ -284,10 +281,6 @@ module Metrics : sig
   (** Every histogram's live exemplars:
       [{"hist.name":[{"le":...,"value":...,"trace_id":...,"ts_ms":...}]}].
       Histograms with no live exemplar are omitted. *)
-
-  val set_exemplar_window_ms : float -> unit
-  (** Change the exemplar retention window (default 60_000 ms).
-      @raise Invalid_argument if the window is not positive. *)
 
   val info : string -> (string * string) list -> unit
   (** Register (or relabel) an {e info} metric: a constant-1 gauge whose

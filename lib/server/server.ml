@@ -45,20 +45,13 @@ type config = {
   domains : int;                  (** worker pool size (>= 1) *)
   queue_capacity : int;           (** bounded job queue -> [busy] beyond *)
   session_ttl_s : float;          (** idle sessions evicted after this *)
-  max_sessions : int;
-  max_frame_bytes : int;
-  idle_timeout_s : float;         (** close connections idle this long *)
-  drain_timeout_s : float;        (** max wait for in-flight work on stop *)
   max_nodes : int;                (** branch & bound budget per component *)
   max_iterations : int;           (** validation loop guard per session *)
-  cancel_grace_ms : float;        (** wait this long after firing a running
-                                      job's cancel token before abandoning it *)
   faults : Faultsim.t;            (** chaos-testing fault plan (default none) *)
   telemetry_port : int option;    (** Prometheus text endpoint on 127.0.0.1
                                       (0 = ephemeral; see {!telemetry_addr}) *)
   flight_dir : string option;     (** enable the flight recorder and dump
                                       post-mortems for bad requests here *)
-  flight_capacity : int;          (** ring size per domain (events) *)
   access_log : string option;     (** one JSON line per request, appended *)
   access_log_max_bytes : int;     (** rotate the access log once it exceeds
                                       this many bytes (0 = never rotate);
@@ -83,30 +76,20 @@ type config = {
   client_rate : float;            (** per-client admissions/s once the
                                       server is browned out (level >= 1) *)
   client_burst : float;           (** per-client token bucket capacity *)
-  frame_write_timeout_s : float;  (** per-frame write deadline: a peer
-                                      that stops draining its socket is
-                                      disconnected (slow-client armor) *)
   frame_read_timeout_s : float;   (** mid-frame read deadline once the
                                       first bytes of a frame arrived
                                       (slowloris armor) *)
   health_slo : bool;              (** run the ~1 Hz ops ticker: GC/runtime
                                       sampler + SLO burn-rate engine *)
-  slo_availability_target : float; (** good-request fraction objective *)
-  slo_latency_target : float;     (** fraction of repairs that must finish
-                                      under [slo_latency_ms] *)
-  slo_latency_ms : float;         (** repair latency objective threshold;
-                                      should be a histogram bucket bound *)
   scenarios : (string * Scenario.t) list;
 }
 
 let default_config ?(scenarios = []) addr =
   { addr;
     domains = max 1 (min 8 (Domain.recommended_domain_count () - 1));
-    queue_capacity = 64; session_ttl_s = 600.0; max_sessions = 256;
-    max_frame_bytes = 16 * 1024 * 1024; idle_timeout_s = 300.0;
-    drain_timeout_s = 30.0; max_nodes = 2_000_000; max_iterations = 50;
-    cancel_grace_ms = 200.0; faults = Faultsim.none;
-    telemetry_port = None; flight_dir = None; flight_capacity = 256;
+    queue_capacity = 64; session_ttl_s = 600.0;
+    max_nodes = 2_000_000; max_iterations = 50; faults = Faultsim.none;
+    telemetry_port = None; flight_dir = None;
     access_log = None; access_log_max_bytes = 64 * 1024 * 1024;
     data_dir = None; wal_shards = Dart_durable.Wal.default_shards;
     snapshot_every = 64;
@@ -116,9 +99,24 @@ let default_config ?(scenarios = []) addr =
     solve_cache_mb = 0; coalesce = true;
     overload = true;
     client_rate = 50.0; client_burst = 100.0;
-    frame_write_timeout_s = 10.0; frame_read_timeout_s = 10.0;
-    health_slo = true; slo_availability_target = 0.999;
-    slo_latency_target = 0.99; slo_latency_ms = 1000.0; scenarios }
+    frame_read_timeout_s = 10.0; health_slo = true; scenarios }
+
+(* Fixed limits and objectives. *)
+let max_sessions = 256
+let max_frame_bytes = 16 * 1024 * 1024
+let idle_timeout_s = 300.0        (* close connections idle this long *)
+let drain_timeout_s = 30.0        (* max wait for in-flight work on stop *)
+let cancel_grace_ms = 200.0       (* wait this long after firing a running
+                                     job's cancel token before abandoning it *)
+let flight_capacity = 256         (* flight-recorder ring size per domain *)
+let frame_write_timeout_s = 10.0  (* per-frame write deadline: a peer that
+                                     stops draining its socket is
+                                     disconnected (slow-client armor) *)
+let slo_availability_target = 0.999 (* good-request fraction objective *)
+let slo_latency_target = 0.99     (* fraction of repairs that must finish
+                                     under [slo_latency_ms] *)
+let slo_latency_ms = 1000.0       (* repair latency objective threshold; a
+                                     histogram bucket bound *)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -233,7 +231,7 @@ let create cfg =
     | Some dir ->
       (try Unix.mkdir dir 0o755
        with Unix.Unix_error (Unix.EEXIST, _, _) -> () | Unix.Unix_error _ -> ());
-      let recorder = Obs.flight_recorder ~capacity:cfg.flight_capacity () in
+      let recorder = Obs.flight_recorder ~capacity:flight_capacity () in
       Obs.install (fst recorder);
       Some recorder
   in
@@ -253,7 +251,7 @@ let create cfg =
           ~queue_capacity:cfg.queue_capacity ();
       store =
         Session.Store.create ~ttl_ms:(cfg.session_ttl_s *. 1000.0)
-          ~max_sessions:cfg.max_sessions ();
+          ~max_sessions ();
       persist =
         Option.map
           (fun dir ->
@@ -728,7 +726,7 @@ let run_on_pool t meta ~client req handler =
                  the running job's token and give it a short grace
                  period to unwind cooperatively. *)
               if Pool.request_cancel fut then wait ~grace
-              else wait ~grace:(Some (d +. t.cfg.cancel_grace_ms))
+              else wait ~grace:(Some (d +. cancel_grace_ms))
             | Some g when Obs.now_ms () > g ->
               (* The job ignored its token past the grace window (a
                  stuck stage): answer the client now and let the slot
@@ -1120,7 +1118,7 @@ let process t ~conn_client payload =
    thread only until the per-frame deadline, after which the connection
    is closed — a length-prefixed stream cannot be resynchronized. *)
 let read_request t fd =
-  let idle_deadline = Obs.now_ms () +. (t.cfg.idle_timeout_s *. 1000.0) in
+  let idle_deadline = Obs.now_ms () +. (idle_timeout_s *. 1000.0) in
   let rec go () =
     if stopping t then `Stop
     else
@@ -1131,7 +1129,7 @@ let read_request t fd =
           Float.min t.cfg.frame_read_timeout_s
             (Float.max 0.05 ((idle_deadline -. Obs.now_ms ()) /. 1000.0))
         in
-        (match Frame.read ~timeout:budget_s ~max_len:t.cfg.max_frame_bytes fd with
+        (match Frame.read ~timeout:budget_s ~max_len:max_frame_bytes fd with
          | Ok payload -> `Request payload
          | Error Frame.Timeout ->
            (* Bytes arrived but the frame never completed in budget:
@@ -1151,7 +1149,7 @@ let read_request t fd =
    disconnected instead of pinning this thread in [write]. *)
 let send t fd payload =
   try
-    Frame.write ~faults:t.cfg.faults ~timeout:t.cfg.frame_write_timeout_s fd
+    Frame.write ~faults:t.cfg.faults ~timeout:frame_write_timeout_s fd
       payload;
     true
   with
@@ -1183,7 +1181,7 @@ let handle_connection t fd =
            (Json.to_string
               (Proto.error Proto.Oversized_frame
                  (Printf.sprintf "frame of %d bytes exceeds limit %d" n
-                    t.cfg.max_frame_bytes))))
+                    max_frame_bytes))))
     | `Request payload ->
       let resp = process t ~conn_client payload in
       (* After answering the in-flight request, a draining server closes
@@ -1325,7 +1323,7 @@ let register_health t =
       else Health.Ok);
   Health.register "sessions" (fun () ->
       let n = Session.Store.count t.store in
-      if n >= t.cfg.max_sessions then
+      if n >= max_sessions then
         Health.Degraded (Printf.sprintf "at capacity (%d)" n)
       else Health.Ok);
   Health.register "wal" (fun () ->
@@ -1532,13 +1530,13 @@ let start_telemetry t port =
 
 let make_slo t =
   Slo.create ~on_event:(fun ev -> slo_event t ev)
-    [ Slo.availability ~name:"availability" ~target:t.cfg.slo_availability_target
+    [ Slo.availability ~name:"availability" ~target:slo_availability_target
         ~good:(fun () ->
           float_of_int
             (Obs.Metrics.value m_requests - Obs.Metrics.value m_errors))
         ~total:(fun () -> float_of_int (Obs.Metrics.value m_requests));
-      Slo.latency ~name:"repair_latency" ~target:t.cfg.slo_latency_target
-        ~threshold_ms:t.cfg.slo_latency_ms (verb_latency "repair") ]
+      Slo.latency ~name:"repair_latency" ~target:slo_latency_target
+        ~threshold_ms:slo_latency_ms (verb_latency "repair") ]
 
 (* One thread owns the periodic work: GC/runtime sampling, SLO ticks and
    gauge refresh.  It sleeps in 0.1 s slices so [stop] is honoured
@@ -1599,7 +1597,7 @@ let wait t =
   (match t.accept_thread with
    | None -> invalid_arg "Server.wait: not started"
    | Some th -> Thread.join th);
-  let drain_deadline = Obs.now_ms () +. (t.cfg.drain_timeout_s *. 1000.0) in
+  let drain_deadline = Obs.now_ms () +. (drain_timeout_s *. 1000.0) in
   while Atomic.get t.active_conns > 0 && Obs.now_ms () < drain_deadline do
     Thread.delay 0.01
   done;

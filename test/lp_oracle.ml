@@ -194,7 +194,6 @@ module Make (F : Dart_lp.Field.S) = struct
      the ceiling (floor, when maximising) of its bound cannot beat the
      incumbent.  Returns the optimal objective and assignment. *)
   let solve_milp ?(integral_objective = false) (p : P.t) : lp =
-    let q = P.copy p in
     let integers = P.var_integers p in
     let minimize = P.minimize p in
     let incumbent = ref None and unbounded = ref false in
@@ -209,7 +208,7 @@ module Make (F : Dart_lp.Field.S) = struct
         in
         if minimize then F.compare bound best < 0 else F.compare bound best > 0
     in
-    let rec explore () =
+    let rec explore q =
       match solve_lp q with
       | Infeasible -> ()
       | Unbounded -> unbounded := true
@@ -223,15 +222,15 @@ module Make (F : Dart_lp.Field.S) = struct
         | None -> incumbent := Some (obj, x)
         | Some j ->
           let branch op rhs =
-            P.add_constraint q [ (F.one, j) ] op rhs;
-            explore ();
-            P.pop_constraint q
+            let child = P.copy q in
+            P.add_constraint child [ (F.one, j) ] op rhs;
+            explore child
           in
           branch Dart_lp.Lp_problem.Le (F.floor x.(j));
           branch Dart_lp.Lp_problem.Ge (F.ceil x.(j)))
       | Optimal _ -> ()
     in
-    explore ();
+    explore p;
     match !incumbent with
     | Some (obj, x) -> Optimal (obj, x)
     | None -> if !unbounded then Unbounded else Infeasible

@@ -187,10 +187,11 @@ let node_events_match_outcome =
       Alcotest.(check int) "event count" outcome.M.nodes_explored node_events;
       Alcotest.(check bool) "pivots counted" true (outcome.M.simplex_pivots > 0))
 
-(* Convergence observability: the node log and gap timeline carried on
-   the outcome must be populated and consistent on a multi-node solve. *)
+(* Convergence observability: the gap timeline, root bound and phases
+   carried on the outcome must be populated and consistent on a
+   multi-node solve. *)
 let convergence_observability =
-  Alcotest.test_case "node log and gap timeline populated on multi-node B&B"
+  Alcotest.test_case "gap timeline and root bound populated on multi-node B&B"
     `Quick (fun () ->
       let fi = Field_rat.of_int in
       let p = P.create () in
@@ -211,16 +212,6 @@ let convergence_observability =
        | (_, last) :: _ -> Alcotest.(check (float 0.0)) "last point" 0.0 last
        | [] -> Alcotest.fail "empty gap timeline");
       Alcotest.(check bool) "root bound recorded" true (o.M.root_bound <> None);
-      (* The node log is bounded, non-empty, and in exploration order. *)
-      Alcotest.(check bool) "node log non-empty" true (o.M.node_log <> []);
-      let nodes = List.map (fun e -> e.Milp.ne_node) o.M.node_log in
-      Alcotest.(check bool) "node ids increase" true
-        (List.sort compare nodes = nodes);
-      List.iter
-        (fun (e : Milp.node_event) ->
-          Alcotest.(check bool) "open count never negative" true
-            (e.Milp.ne_open >= 0))
-        o.M.node_log;
       (* Phase attribution: a solve that pivots spends time somewhere. *)
       Alcotest.(check bool) "phases recorded" true
         (Obs.Phases.to_list o.M.phases <> []))

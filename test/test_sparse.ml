@@ -3,7 +3,7 @@
    The revised core (CSC columns + LU/eta basis factorization + devex
    pricing with a Bland fallback) is an optimization that must be
    semantically invisible: these tests compare its branch & bound and
-   its warm restarts against the dense tableau oracle in [Lp_oracle] on
+   its warm restarts from B&B nodes against the dense tableau oracle in [Lp_oracle] on
    random repair-shaped MILPs over both coefficient fields, regression-
    test anti-cycling (Beale + a degenerate transportation instance), pin
    the factorization's numerical-drift machinery (residual bounds,
@@ -160,74 +160,73 @@ module Make_diff (F : Dart_lp.Field.S) = struct
     | M.Infeasible, O.Infeasible | M.Unbounded, O.Unbounded -> true
     | _ -> false
 
+  (* Pin z_j at [v] in two generations, [z_j <= v] and then [z_j >= v];
+     [None] when the first is not optimal. *)
+  let pin node j v =
+    let w1 = S.branch node (S.At_most (j, v)) in
+    Option.map (fun n1 -> (w1, S.branch n1 (S.At_least (j, v)))) w1.S.node
+
   (* Warm-start cross-check on the LP relaxation: the revised core's cold
      solve matches the oracle, and after a pin its warm restart from the
-     cold snapshot matches the oracle's cold solve of the pinned problem.
+     cold node matches the oracle's cold solve of the pinned problem.
      The pin fixes z_0 at an optimal value, so the old optimum stays
      feasible and the objective must not move. *)
   let prop_warm_cross i =
     let p, z, _ = build i in
-    let w = S.solve_warm p in
+    let w = S.solve_node p in
     match w.S.result, O.solve_lp p with
     | S.Optimal { objective = os; assignment }, O.Optimal (oo, ox) ->
       F.equal os oo && P.feasible p ox
       &&
       let v = assignment.(z.(0)) in
+      let pinned = pin (Option.get w.S.node) z.(0) v in
       P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Le v;
       P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Ge v;
-      let w2 = S.solve_warm ?from:w.S.snapshot p in
-      (match w2.S.result, O.solve_lp p with
-       | S.Optimal { objective = a; _ }, O.Optimal (b, _) ->
+      (match Option.map (fun (_, w2) -> w2.S.result) pinned, O.solve_lp p with
+       | Some (S.Optimal { objective = a; _ }), O.Optimal (b, _) ->
          F.equal a os && F.equal b os
        | _ -> false)
     | S.Infeasible, O.Infeasible | S.Unbounded, O.Unbounded -> true
     | _ -> false
 
   (* Chained warm restarts — the B&B pattern: pin, warm-solve, pin
-     deeper, warm-solve from the *warm* solve's snapshot.  The second
-     generation must still take the warm path (`warm_used`), not fall
-     back cold.  Regression: the sparse payload once recorded the
-     extended form's layout instead of the original spec prefix, so
-     every second-generation restart failed the layout check. *)
+     deeper, warm-solve from the *warm* solve's node.  Every generation
+     must take the warm path (`warm_used`), not fall back cold.
+     Regression: a restart once rebuilt its parent's standard form from
+     a recorded layout that did not match a warm parent's, so every
+     grandchild restart fell back cold. *)
   let prop_warm_chain i =
     let p, z, _ = build i in
-    let w0 = S.solve_warm p in
-    match w0.S.result, w0.S.snapshot with
-    | S.Optimal { objective = o0; assignment = a0 }, Some snap0 -> (
-      let pin j v =
-        P.add_constraint ~label:"pin" p [ (F.one, z.(j)) ]
-          Dart_lp.Lp_problem.Le v;
-        P.add_constraint ~label:"pin" p [ (F.one, z.(j)) ]
-          Dart_lp.Lp_problem.Ge v
-      in
-      pin 0 a0.(z.(0));
-      let w1 = S.solve_warm ~from:snap0 p in
-      match w1.S.result, w1.S.snapshot with
-      | S.Optimal { objective = o1; assignment = a1 }, Some snap1 ->
-        w1.S.warm_used && F.equal o1 o0
+    let w0 = S.solve_node p in
+    match w0.S.result, w0.S.node with
+    | S.Optimal { objective = o0; assignment = a0 }, Some n0 -> (
+      let warm (w1, w2) = w1.S.warm_used && w2.S.warm_used in
+      match pin n0 z.(0) a0.(z.(0)) with
+      | Some ((_, { S.result = S.Optimal { objective = o1; assignment = a1 };
+                    node = Some n1; _ }) as ws) ->
+        warm ws && F.equal o1 o0
         &&
-        let j = Array.length z - 1 in
-        pin j a1.(z.(j));
-        let w2 = S.solve_warm ~from:snap1 p in
-        w2.S.warm_used
-        && (match w2.S.result with
-           | S.Optimal { objective = o2; _ } -> F.equal o2 o0
-           | _ -> false)
+        let j = z.(Array.length z - 1) in
+        (match pin n1 j a1.(j) with
+         | Some ((_, { S.result = S.Optimal { objective = o2; _ }; _ }) as ws) ->
+           warm ws && F.equal o2 o0
+         | _ -> false)
       | _ -> false)
     | _ -> true
 
-  (* A sparse snapshot satisfies the shared basis invariants and
-     self-warm-starting from it is a zero-pivot no-op, exactly like the
-     dense contract in test_warm. *)
+  (* A node satisfies the shared basis invariants, and branching from it
+     on a row its optimum satisfies with room to spare is a zero-pivot
+     warm no-op, exactly like the contract in test_warm. *)
   let prop_sparse_self_warm i =
-    let p, _, _ = build i in
-    let w = S.solve_warm p in
-    match w.S.result, w.S.snapshot with
-    | S.Optimal { objective; _ }, Some snap ->
-      S.snapshot_primal_feasible snap
-      && S.snapshot_dual_feasible snap
+    let p, z, _ = build i in
+    let w = S.solve_node p in
+    match w.S.result, w.S.node with
+    | S.Optimal { objective; assignment }, Some node ->
+      S.node_primal_feasible node
+      && S.node_dual_feasible node
       &&
-      let w2 = S.solve_warm ~from:snap p in
+      let loose = F.add (F.ceil assignment.(z.(0))) F.one in
+      let w2 = S.branch node (S.At_most (z.(0), loose)) in
       w2.S.warm_used
       && w2.S.stats.S.pivots = 0
       && (match w2.S.result with

@@ -1,18 +1,18 @@
 (* Warm-started branch & bound, pinned by a differential harness.
 
-   The warm path (Simplex snapshots + bounded dual simplex) is an
-   optimization that must be semantically invisible: these tests compare
-   it against the cold path on random repair-shaped MILP instances over
-   both coefficient fields, pin the basis invariants the warm restart
-   relies on, regression-test anti-cycling on a degenerate (Beale)
-   instance, and check that the warm work is observable in metrics and
-   Solver.stats.  The repair-stack tests then pin the one re-solve path of
+   The warm path (B&B nodes re-solved from their parent's basis by a
+   bounded dual simplex) is an optimization that must be semantically
+   invisible: these tests compare the warm B&B against the cold
+   depth-first oracle in [Lp_oracle] on random repair-shaped MILP
+   instances over both coefficient fields, pin the basis invariants the
+   warm restart relies on, regression-test anti-cycling on a degenerate
+   (Beale) instance, and check that the warm work is observable in
+   metrics and Solver.stats.  The repair-stack tests then pin the one re-solve path of
    the validation loop: card_minimal under pins, with the solve cache as
    the only answer reuse across calls. *)
 
 open Dart_numeric
 open Dart_relational
-open Dart_constraints
 open Dart_repair
 open Dart_datagen
 open Dart_rand
@@ -79,6 +79,7 @@ module Make_diff (F : Dart_lp.Field.S) = struct
   module M = Dart_lp.Milp.Make (F)
   module P = M.P
   module S = M.S
+  module O = Lp_oracle.Make (F)
 
   (* Kept tight relative to the z boxes below: a loose M makes the LP
      relaxation's sum-of-deltas bound nearly vacuous and node counts blow
@@ -157,16 +158,16 @@ module Make_diff (F : Dart_lp.Field.S) = struct
      sum-of-binaries objectives. *)
   let prop_differential i =
     let p, z, vals = build i in
-    let warm = M.solve ~integral_objective:true ~warm:true p in
-    let cold = M.solve ~integral_objective:true ~warm:false p in
-    match warm.M.status, cold.M.status with
-    | M.Optimal, M.Optimal -> (
-      match warm.M.objective, cold.M.objective, warm.M.assignment with
-      | Some a, Some b, Some assignment ->
+    let warm = M.solve ~integral_objective:true p in
+    match warm.M.status, O.solve_milp ~integral_objective:true p with
+    | M.Optimal, O.Optimal (b, _) -> (
+      match warm.M.objective, warm.M.assignment with
+      | Some a, Some assignment ->
         F.equal a b
         && F.equal a (F.of_int (cardinality assignment z vals))
       | _ -> false)
-    | sa, sb -> sa = sb
+    | M.Infeasible, O.Infeasible | M.Unbounded, O.Unbounded -> true
+    | _ -> false
 
   (* An operator accepting a suggestion: pin z_0 to the value an optimal
      solve chose (an equality row, as Encode.build emits pins) and re-solve
@@ -180,26 +181,26 @@ module Make_diff (F : Dart_lp.Field.S) = struct
       P.add_constraint ~label:"pin" p [ (F.one, z.(0)) ] Dart_lp.Lp_problem.Eq
         a.(z.(0));
       let warm = M.solve ~integral_objective:true p in
-      let cold = M.solve ~integral_objective:true ~warm:false p in
       warm.M.status = M.Optimal
-      && cold.M.status = M.Optimal
-      && (match warm.M.objective, cold.M.objective with
-         | Some w, Some c -> F.equal w obj0 && F.equal c obj0
+      && (match warm.M.objective, O.solve_milp ~integral_objective:true p with
+         | Some w, O.Optimal (c, _) -> F.equal w obj0 && F.equal c obj0
          | _ -> false)
     | _ -> true
 
-  (* Satellite: simplex basis invariants.  Any optimal solve's snapshot is
-     primal- and dual-feasible, and re-solving the same problem from its
-     own snapshot is a zero-pivot warm no-op with the same objective. *)
+  (* Satellite: simplex basis invariants.  Any optimal solve's node is
+     primal- and dual-feasible, and branching from it on a row its
+     optimum satisfies with room to spare is a zero-pivot warm no-op with
+     the same objective. *)
   let prop_invariants i =
-    let p, _, _ = build i in
-    let w = S.solve_warm p in
-    match w.S.result, w.S.snapshot with
-    | S.Optimal { objective; _ }, Some snap ->
-      S.snapshot_primal_feasible snap
-      && S.snapshot_dual_feasible snap
+    let p, z, _ = build i in
+    let w = S.solve_node p in
+    match w.S.result, w.S.node with
+    | S.Optimal { objective; assignment }, Some node ->
+      S.node_primal_feasible node
+      && S.node_dual_feasible node
       &&
-      let w2 = S.solve_warm ~from:snap p in
+      let loose = F.add (F.ceil assignment.(z.(0))) F.one in
+      let w2 = S.branch node (S.At_most (z.(0), loose)) in
       w2.S.warm_used
       && w2.S.stats.S.pivots = 0
       && (match w2.S.result with
@@ -254,11 +255,16 @@ let beale () =
 
 let pivot_budget = 64
 
+let root_node p =
+  match (SR.solve_node p).SR.node with
+  | Some n -> n
+  | None -> Alcotest.fail "expected an optimal root"
+
 let anticycling_tests =
   [ t "Beale's degenerate LP terminates within the pivot budget (cold)"
       (fun () ->
         let p, _ = beale () in
-        let w = SR.solve_warm p in
+        let w = SR.solve_node p in
         (match w.SR.result with
          | SR.Optimal { objective; _ } ->
            Alcotest.(check bool) "optimum -1/20" true
@@ -271,24 +277,19 @@ let anticycling_tests =
     t "degeneracy after a pin: warm and cold both terminate within budget"
       (fun () ->
         let p, x1 = beale () in
-        let w0 = SR.solve_warm p in
-        let snap =
-          match w0.SR.snapshot with
-          | Some s -> s
-          | None -> Alcotest.fail "expected a snapshot"
-        in
+        let node = root_node p in
         (* Pin x1 back to 0: the optimal vertex (x1 = 1/25) becomes
            infeasible and the dual phase must walk back through the
            degenerate origin. *)
+        let warm = SR.branch node (SR.At_most (x1, Rat.zero)) in
         PR.add_constraint p [ (Rat.one, x1) ] Dart_lp.Lp_problem.Le Rat.zero;
-        let warm = SR.solve_warm ~from:snap p in
         Alcotest.(check bool) "warm path used" true warm.SR.warm_used;
         Alcotest.(check bool)
           (Printf.sprintf "warm pivots %d <= %d" warm.SR.stats.SR.pivots
              pivot_budget)
           true
           (warm.SR.stats.SR.pivots <= pivot_budget);
-        let cold = SR.solve_warm p in
+        let cold = SR.solve_node p in
         Alcotest.(check bool)
           (Printf.sprintf "cold pivots %d <= %d" cold.SR.stats.SR.pivots
              pivot_budget)
@@ -304,24 +305,24 @@ let anticycling_tests =
         | _ -> Alcotest.fail "expected optimal on both paths");
     (* The random instances above are feasible by construction, so the
        dual phase's infeasibility certificate (Dual_infeasible_row) needs
-       its own pin: contradictory appended pins must make the warm
-       re-solve report Infeasible exactly like a cold solve. *)
+       its own pin: a grandchild whose pin contradicts its parent's must
+       report Infeasible from the warm path, exactly like a cold solve. *)
     t "contradictory pins: warm restart certifies infeasibility" (fun () ->
         let p, x1 = beale () in
-        let w0 = SR.solve_warm p in
-        let snap =
-          match w0.SR.snapshot with
-          | Some s -> s
-          | None -> Alcotest.fail "expected a snapshot"
+        let child = SR.branch (root_node p) (SR.At_least (x1, Rat.one)) in
+        let node =
+          match child.SR.node with
+          | Some n -> n
+          | None -> Alcotest.fail "expected x1 >= 1 to stay feasible"
         in
-        PR.add_constraint p [ (Rat.one, x1) ] Dart_lp.Lp_problem.Ge Rat.one;
-        PR.add_constraint p [ (Rat.one, x1) ] Dart_lp.Lp_problem.Le Rat.zero;
-        let warm = SR.solve_warm ~from:snap p in
+        let warm = SR.branch node (SR.At_most (x1, Rat.zero)) in
         Alcotest.(check bool) "warm path used" true warm.SR.warm_used;
         (match warm.SR.result with
          | SR.Infeasible -> ()
          | _ -> Alcotest.fail "warm restart must certify infeasibility");
-        match (SR.solve_warm p).SR.result with
+        PR.add_constraint p [ (Rat.one, x1) ] Dart_lp.Lp_problem.Ge Rat.one;
+        PR.add_constraint p [ (Rat.one, x1) ] Dart_lp.Lp_problem.Le Rat.zero;
+        match (SR.solve_node p).SR.result with
         | SR.Infeasible -> ()
         | _ -> Alcotest.fail "cold solve must agree: infeasible")
   ]
@@ -430,17 +431,6 @@ let repair_stack_tests =
           (counter_value "lp.simplex.warm_starts" > before_ws);
         Alcotest.(check bool) "lp.simplex.dual_pivots ticked" true
           (counter_value "lp.simplex.dual_pivots" > before_dp));
-    t "warm off: a cold Milp.solve reports zero warm work" (fun () ->
-        let db = Cash_budget.figure3 () in
-        let rows = Ground.of_constraints db Cash_budget.constraints in
-        let enc = Encode.build db rows in
-        let module M = Dart_lp.Milp.Make (Dart_lp.Field_rat) in
-        let o =
-          M.solve ~integral_objective:true ~warm:false enc.Encode.problem
-        in
-        Alcotest.(check bool) "optimal" true (o.M.status = M.Optimal);
-        Alcotest.(check int) "no warm starts" 0 o.M.warm_starts;
-        Alcotest.(check int) "no dual pivots" 0 o.M.dual_pivots);
     t "validation loop: cache on/off produce identical final databases"
       (fun () ->
         List.iter
